@@ -5,8 +5,9 @@ For every tree-based classification head, at calibration-set scale:
 * **parity first** — the stacked flat-array predictions are asserted to match
   a per-row recursive descent of the same fitted trees to ≤1e-9 (they are in
   fact bitwise identical), and the histogram head's held-out accuracy is
-  asserted to be within noise of the exact-splitter head's, before any timing
-  is recorded;
+  asserted to be within noise of the exact-splitter head's (the reference
+  heads in ``tests/reference/exact_heads.py``), before any timing is
+  recorded;
 * **fit** — histogram growth (quantile pre-binning + one vectorised bincount
   pass per node) vs the recursive exact splitter;
 * **predict** — batched :class:`~repro.ensemble.engine.FlatTreeStack` descent
@@ -18,8 +19,8 @@ comparison row per head is merged into ``BENCH_api.json`` under
 
 Run::
 
-    PYTHONPATH=src python benchmarks/perf_ensemble.py                # full record
-    PYTHONPATH=src python benchmarks/perf_ensemble.py --n-samples 800 \
+    PYTHONPATH=src:. python benchmarks/perf_ensemble.py                # full record
+    PYTHONPATH=src:. python benchmarks/perf_ensemble.py --n-samples 800 \
         --reps 1 --min-fit-speedup 2 --min-predict-speedup 5         # CI smoke
 """
 
@@ -40,18 +41,27 @@ from repro.ensemble import (
     XGBoostClassifier,
 )
 
+from tests.reference.exact_heads import (
+    ExactAdaBoostClassifier,
+    ExactGradientBoostingClassifier,
+    ExactLightGBMClassifier,
+    ExactRandomForestClassifier,
+    ExactXGBoostClassifier,
+)
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_ensemble.json"
 API_BENCH = REPO_ROOT / "BENCH_api.json"
 PARITY_ATOL = 1e-9
 ACCURACY_TOLERANCE = 0.03
 
+#: name -> (production histogram head, exact-splitter reference head)
 HEADS = {
-    "gbm": GradientBoostingClassifier,
-    "lightgbm": LightGBMClassifier,
-    "xgboost": XGBoostClassifier,
-    "adaboost": AdaBoostClassifier,
-    "random_forest": RandomForestClassifier,
+    "gbm": (GradientBoostingClassifier, ExactGradientBoostingClassifier),
+    "lightgbm": (LightGBMClassifier, ExactLightGBMClassifier),
+    "xgboost": (XGBoostClassifier, ExactXGBoostClassifier),
+    "adaboost": (AdaBoostClassifier, ExactAdaBoostClassifier),
+    "random_forest": (RandomForestClassifier, ExactRandomForestClassifier),
 }
 
 
@@ -124,9 +134,9 @@ def batched_proba(model, X: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- benchmark
 def bench_head(name: str, X_fit, y_fit, X_eval, y_eval, reps: int,
                seed: int) -> dict:
-    cls = HEADS[name]
-    hist = cls(seed=seed, tree_method="hist").fit(X_fit, y_fit)
-    exact = cls(seed=seed, tree_method="exact").fit(X_fit, y_fit)
+    cls, exact_cls = HEADS[name]
+    hist = cls(seed=seed).fit(X_fit, y_fit)
+    exact = exact_cls(seed=seed).fit(X_fit, y_fit)
 
     # --- parity before timing ----------------------------------------------
     flat = batched_proba(hist, X_eval)
@@ -143,9 +153,9 @@ def bench_head(name: str, X_fit, y_fit, X_eval, y_eval, reps: int,
 
     # --- timing -------------------------------------------------------------
     t_fit_hist, _ = _timed(
-        lambda: cls(seed=seed, tree_method="hist").fit(X_fit, y_fit), reps)
+        lambda: cls(seed=seed).fit(X_fit, y_fit), reps)
     t_fit_exact, _ = _timed(
-        lambda: cls(seed=seed, tree_method="exact").fit(X_fit, y_fit), reps)
+        lambda: exact_cls(seed=seed).fit(X_fit, y_fit), reps)
     t_predict_flat, _ = _timed(lambda: batched_proba(hist, X_eval), reps)
     t_predict_recursive, _ = _timed(
         lambda: recursive_reference_proba(hist, X_eval), max(1, reps // 2))

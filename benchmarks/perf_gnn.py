@@ -9,14 +9,14 @@ Measures, at several subgraph node-count scales:
 * ``slice``  — building the LDG time-slice sequence itself (CSR vs dense),
 
 each against the faithful dense reference implementations preserved in
-:mod:`repro.gnn.dense_reference` (the exact seed math, same layer weights).
+:mod:`tests.reference.dense_gnn` (the exact seed math, same layer weights).
 Forward outputs are asserted to agree to 1e-9 before timings are recorded.
 Results, including speedups, are written to ``BENCH_gnn.json``.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/perf_gnn.py              # 100/400/1200 nodes
-    PYTHONPATH=src python benchmarks/perf_gnn.py --scales 80 --output /tmp/b.json
+    PYTHONPATH=src:. python benchmarks/perf_gnn.py              # 100/400/1200 nodes
+    PYTHONPATH=src:. python benchmarks/perf_gnn.py --scales 80 --output /tmp/b.json
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from repro.gnn import (
     GraphSAGELayer,
     SparseAdjacency,
 )
-from repro.gnn import dense_reference as dense_ref
 from repro.graph.txgraph import TxGraph
 from repro.nn import Tensor
+
+from tests.reference import dense_gnn as dense_ref
 
 DEFAULT_SCALES = (100, 400, 1200)
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_gnn.json"

@@ -4,8 +4,9 @@ Measures, at several transaction-count scales, the two stages that the
 columnar transaction store rewrote:
 
 * ``assemble`` — block assembly + ledger registration from the behaviours'
-  raw transaction tuples (``LedgerGenerator._assemble_blocks_columnar`` vs
-  the preserved per-``Transaction`` object path), and
+  raw transaction tuples (``LedgerGenerator._assemble_blocks`` vs the
+  per-``Transaction`` object path preserved in
+  ``tests/reference/object_paths.py``), and
 * ``graph``    — global transaction-graph construction
   (``build_transaction_graph`` columnar bulk ingest vs the per-object loop).
 
@@ -27,9 +28,9 @@ the record lands next to the scale rows in ``BENCH_ledger.json``.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/perf_ledger.py              # 10k/100k/1M + follow-chain
-    PYTHONPATH=src python benchmarks/perf_ledger.py --scales 20000 --min-speedup 2
-    PYTHONPATH=src python benchmarks/perf_ledger.py --skip-scales \
+    PYTHONPATH=src:. python benchmarks/perf_ledger.py              # 10k/100k/1M + follow-chain
+    PYTHONPATH=src:. python benchmarks/perf_ledger.py --scales 20000 --min-speedup 2
+    PYTHONPATH=src:. python benchmarks/perf_ledger.py --skip-scales \
         --base-txs 100000 --append-txs 10000 --min-open-speedup 5
 """
 
@@ -47,6 +48,9 @@ from repro.chain import LedgerConfig, Ledger, LedgerGenerator, generate_ledger
 from repro.data.dataset import DatasetConfig, SubgraphDatasetBuilder
 from repro.data.features import DeepFeatureExtractor
 from repro.data.pipeline import build_transaction_graph
+
+from tests.reference.object_paths import (assemble_blocks_objects,
+                                          build_transaction_graph_objects)
 
 #: Transactions generated per unit of LedgerConfig scale with seed 7
 #: (measured on the nine-scenario engine at scale 100).
@@ -95,7 +99,7 @@ def bench_scale(target_txs: int, seed: int = 7, skip_object: bool = False) -> di
     rng_col = np.random.default_rng(config.seed)
     columnar_ledger = Ledger(genesis_timestamp=config.start_timestamp)
     synthesize_time, raw = _timed(lambda: gen.synthesize(columnar_ledger, rng_col))
-    assemble_col, _ = _timed(lambda: gen._assemble_blocks_columnar(
+    assemble_col, _ = _timed(lambda: gen._assemble_blocks(
         columnar_ledger, raw, rng_col))
     record = {
         "target_transactions": target_txs,
@@ -110,21 +114,21 @@ def bench_scale(target_txs: int, seed: int = 7, skip_object: bool = False) -> di
         rng_obj = np.random.default_rng(config.seed)
         object_ledger = Ledger(genesis_timestamp=config.start_timestamp)
         raw_obj = gen.synthesize(object_ledger, rng_obj)
-        assemble_obj, _ = _timed(lambda: gen._assemble_blocks_objects(
-            object_ledger, raw_obj, rng_obj))
+        assemble_obj, _ = _timed(lambda: assemble_blocks_objects(
+            config, object_ledger, raw_obj, rng_obj))
         _assert_ledger_parity(columnar_ledger, object_ledger)
         record["assemble_seconds"].update(
             object=assemble_obj, speedup=assemble_obj / assemble_col)
 
     graph_col_time, graph_col = _timed(
-        lambda: build_transaction_graph(columnar_ledger, columnar=True))
+        lambda: build_transaction_graph(columnar_ledger))
     record["graph_seconds"]["columnar"] = graph_col_time
     record["num_nodes"] = graph_col.num_nodes
     record["num_edges"] = graph_col.num_edges
 
     if not skip_object:
         graph_obj_time, graph_obj = _timed(
-            lambda: build_transaction_graph(columnar_ledger, columnar=False))
+            lambda: build_transaction_graph_objects(columnar_ledger))
         _assert_graph_parity(graph_col, graph_obj)
         record["graph_seconds"].update(
             object=graph_obj_time, speedup=graph_obj_time / graph_col_time)

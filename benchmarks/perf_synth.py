@@ -62,7 +62,7 @@ def bench_scale(target_txs: int, seed: int = 7, build_graph: bool = True) -> dic
     ledger = Ledger(genesis_timestamp=config.start_timestamp)
 
     synthesize_time, raw = _timed(lambda: gen.synthesize(ledger, rng))
-    assemble_time, _ = _timed(lambda: gen._assemble_blocks_columnar(ledger, raw, rng))
+    assemble_time, _ = _timed(lambda: gen._assemble_blocks(ledger, raw, rng))
     generation_time = synthesize_time + assemble_time
     record = {
         "target_transactions": target_txs,

@@ -7,8 +7,9 @@ Measures, on a synthetic ledger's ``exchange`` one-vs-rest task:
   versus two references: the **legacy per-sample loop** (``batch_size=1``,
   one optimizer step per subgraph — the pre-batching training path and the
   headline baseline) and the **same-schedule looped kernel**
-  (``_batched_kernel = False``: identical RNG draws, identical optimizer
-  steps, forwards run one sample at a time — the ≤1e-9 parity reference);
+  (``tests/reference/looped_branches.py``: identical RNG draws, identical
+  optimizer steps, forwards run one sample at a time — the ≤1e-9 parity
+  reference);
 * ``gsg_predict`` / ``ldg_predict`` — chunked batched scoring vs sequential
   scoring on the trained branch;
 * ``dataset_build`` — sequential vs thread-pool vs process-pool dataset
@@ -22,8 +23,8 @@ are written to ``BENCH_train.json``.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/perf_train.py                 # full record
-    PYTHONPATH=src python benchmarks/perf_train.py --scale 0.2 \
+    PYTHONPATH=src:. python benchmarks/perf_train.py                 # full record
+    PYTHONPATH=src:. python benchmarks/perf_train.py --scale 0.2 \
         --epochs 2 --reps 1 --min-step-speedup 2.0                 # CI smoke
 """
 
@@ -39,6 +40,8 @@ import numpy as np
 from repro.chain import LedgerConfig, generate_ledger
 from repro.core import GSGBranch, GSGConfig, LDGBranch, LDGConfig
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
+
+from tests.reference.looped_branches import LoopedGSGBranch, LoopedLDGBranch
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_train.json"
 PARITY_ATOL = 1e-9
@@ -83,8 +86,8 @@ def _max_weight_diff(a, b) -> float:
                                  b._network.parameters()))
 
 
-def bench_branch(name: str, branch_cls, config_factory, samples, labels,
-                 reps: int) -> dict:
+def bench_branch(name: str, branch_cls, looped_cls, config_factory, samples,
+                 labels, reps: int) -> dict:
     """Parity-check then time one branch's batched vs reference training.
 
     The headline ``fit.speedup`` compares against the legacy per-sample loop
@@ -94,24 +97,22 @@ def bench_branch(name: str, branch_cls, config_factory, samples, labels,
     """
     epochs = config_factory().epochs
 
-    def fit(batched_kernel: bool, batch_size: int | None = None):
+    def fit(cls, batch_size: int | None = None):
         config = config_factory()
         if batch_size is not None:
             config.batch_size = batch_size
-        branch = branch_cls(config)
-        branch._batched_kernel = batched_kernel
-        branch.fit(samples, labels)
-        return branch
+        return cls(config).fit(samples, labels)
+
+    def predict_looped():
+        return np.concatenate([batched.predict_scores([s]) for s in samples])
 
     # --- parity before timing ----------------------------------------------
-    batched, looped = fit(True), fit(False)
+    batched, looped = fit(branch_cls), fit(looped_cls)
     weight_diff = _max_weight_diff(batched, looped)
     assert weight_diff < PARITY_ATOL, \
         f"{name} fit parity violated: max weight diff {weight_diff:.3e}"
     scores_batched = batched.predict_scores(samples)
-    batched._batched_kernel = False
-    scores_looped = batched.predict_scores(samples)
-    batched._batched_kernel = True
+    scores_looped = predict_looped()
     score_diff = float(np.abs(scores_batched - scores_looped).max())
     assert score_diff < PARITY_ATOL, \
         f"{name} predict parity violated: max score diff {score_diff:.3e}"
@@ -122,17 +123,11 @@ def bench_branch(name: str, branch_cls, config_factory, samples, labels,
 
     # --- timing -------------------------------------------------------------
     steps = len(samples) * epochs
-    t_batched, _ = _timed(lambda: fit(True), reps)
-    t_looped, _ = _timed(lambda: fit(False), reps)
-    t_legacy, _ = _timed(lambda: fit(False, batch_size=1), reps)
-
-    def predict(batched_kernel: bool):
-        batched._batched_kernel = batched_kernel
-        return batched.predict_scores(samples)
-
-    tp_batched, _ = _timed(lambda: predict(True), reps)
-    tp_looped, _ = _timed(lambda: predict(False), reps)
-    batched._batched_kernel = True
+    t_batched, _ = _timed(lambda: fit(branch_cls), reps)
+    t_looped, _ = _timed(lambda: fit(looped_cls), reps)
+    t_legacy, _ = _timed(lambda: fit(branch_cls, batch_size=1), reps)
+    tp_batched, _ = _timed(lambda: batched.predict_scores(samples), reps)
+    tp_looped, _ = _timed(predict_looped, reps)
     return {
         "num_samples": len(samples),
         "epochs": epochs,
@@ -191,16 +186,16 @@ def run(scale: float = 1.2, batch_size: int = 32, epochs: int = 20,
                           "seed": seed, "parity_atol": PARITY_ATOL},
                "branches": {}}
     branch_specs = [
-        ("gsg", GSGBranch, lambda: GSGConfig(
+        ("gsg", GSGBranch, LoopedGSGBranch, lambda: GSGConfig(
             hidden_dim=16, epochs=epochs, contrastive_batch=6,
             batch_size=batch_size)),
-        ("ldg", LDGBranch, lambda: LDGConfig(
+        ("ldg", LDGBranch, LoopedLDGBranch, lambda: LDGConfig(
             hidden_dim=16, epochs=epochs, num_slices=4,
             first_pool_clusters=6, batch_size=batch_size)),
     ]
-    for name, branch_cls, config_factory in branch_specs:
-        record = bench_branch(name, branch_cls, config_factory, samples,
-                              labels, reps)
+    for name, branch_cls, looped_cls, config_factory in branch_specs:
+        record = bench_branch(name, branch_cls, looped_cls, config_factory,
+                              samples, labels, reps)
         results["branches"][name] = record
         print(f"[{name}] fit {record['fit']['speedup']:5.2f}x vs per-sample "
               f"loop ({record['fit']['speedup_vs_looped']:4.2f}x vs looped "

@@ -68,7 +68,8 @@ class RawTxBlock:
 
     ``sender_id``/``receiver_id`` hold interned account ids (or any opaque
     integer identifiers — the engine passes the ledger store's ids, the
-    behaviour compatibility shim passes indices into ad-hoc pools).  The
+    tuple-API shim in ``tests/reference/behaviors.py`` passes indices into
+    ad-hoc pools).  The
     remaining columns mirror the per-transaction fields of the historical
     ``RawTx`` tuple; ordering is arbitrary — the assembly stage sorts the
     concatenated stream by timestamp.

@@ -1,10 +1,10 @@
 """The six seed behaviour families, vectorised.
 
 Each scenario reproduces the qualitative pattern of the historical per-tuple
-behaviour of the same category (see the module docstring of
-``repro.chain.behaviors``) with batched RNG draws across *all* centres at
-once: one ``synthesize`` call emits the full column block for a category
-regardless of how many labelled accounts it has.  The RNG layout therefore
+behaviour of the same category (kept as a tuple-API shim in
+``tests/reference/behaviors.py``) with batched RNG draws across *all*
+centres at once: one ``synthesize`` call emits the full column block for a
+category regardless of how many labelled accounts it has.  The RNG layout therefore
 differs from the per-tuple implementation — an intentional data regeneration
 pinned by the re-computed golden digests in ``tests/test_graph_golden.py``
 and guarded qualitatively by each scenario's envelope.

@@ -15,8 +15,8 @@ from repro.ensemble import (
 __all__ = ["AccountClassificationModule", "CLASSIFIER_FACTORIES"]
 
 #: Factories for the five final classifiers compared in Figure 7.  Extra
-#: keyword arguments (``tree_method``, ``backend``, ...) are forwarded to the
-#: underlying head, so callers can pin e.g. the exact-splitter reference.
+#: keyword arguments (``n_estimators``, ``max_depth``, ...) are forwarded to
+#: the underlying head.
 CLASSIFIER_FACTORIES = {
     "lightgbm": lambda seed, **kw: LightGBMClassifier(seed=seed, **kw),
     "xgboost": lambda seed, **kw: XGBoostClassifier(seed=seed, **kw),

@@ -95,11 +95,6 @@ class GSGBranch:
         self.config = config or GSGConfig()
         self._network: _GSGNetwork | None = None
         self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
-        # Parity escape hatch: with batch_size > 1 and this flag off, fit and
-        # predict follow the same minibatch schedule but forward each sample
-        # separately — the looped reference the stacked kernel is pinned
-        # against (and timed against in benchmarks/perf_train.py).
-        self._batched_kernel = True
 
     # ------------------------------------------------------------------ helpers
     def _prepare(self, sample: AccountSubgraph):
@@ -127,14 +122,9 @@ class GSGBranch:
             compose_plans=True)
         return features, edge_features, adjacency
 
-    def _minibatch_logits(self, batch: list[AccountSubgraph]) -> Tensor:
-        """``(len(batch),)`` logits — stacked kernel or looped reference."""
-        if self._batched_kernel:
-            features, edge_features, adjacency = self._prepare_batch(batch)
-            return self._network.forward_batched(
-                features, edge_features, adjacency).reshape(len(batch))
-        return concat([self._network(*self._prepare(s)).reshape(1)
-                       for s in batch], axis=0)
+    def _batch_logits(self, stack) -> Tensor:
+        """``(B,)`` logits of one :meth:`_prepare_batch` stack."""
+        return self._network.forward_batched(*stack).reshape(-1)
 
     def _fit_feature_stats(self, samples: list[AccountSubgraph]) -> None:
         stacked = np.vstack([s.node_features for s in samples])
@@ -164,9 +154,8 @@ class GSGBranch:
             rng.shuffle(indices)
             chunks = [indices[start:start + batch_size]
                       for start in range(0, len(indices), batch_size)]
-            batches = [[samples[i] for i in chunk] for chunk in chunks]
-            stacks = [self._prepare_batch(batch) for batch in batches] \
-                if self._batched_kernel else None
+            stacks = [self._prepare_batch([samples[i] for i in chunk])
+                      for chunk in chunks]
             order = np.arange(len(chunks))
         for _epoch in range(cfg.epochs):
             if batch_size == 1:
@@ -184,11 +173,7 @@ class GSGBranch:
                 rng.shuffle(order)
                 for j in order:
                     optimizer.zero_grad()
-                    if stacks is not None:
-                        logits = self._network.forward_batched(
-                            *stacks[j]).reshape(len(chunks[j]))
-                    else:
-                        logits = self._minibatch_logits(batches[j])
+                    logits = self._batch_logits(stacks[j])
                     loss = binary_cross_entropy_with_logits(logits, labels[chunks[j]])
                     loss.backward()
                     optimizer.step()
@@ -226,11 +211,11 @@ class GSGBranch:
 
         With batching enabled the augmented subgraphs are stacked into one
         block-diagonal pass (their adjacencies are freshly augmented, so there
-        are no per-sample memos to seed); otherwise each view is embedded
-        separately and the results concatenated — identical float ops to the
-        pre-batching implementation.
+        are no per-sample memos to seed); with ``batch_size == 1`` each view is
+        embedded separately and the results concatenated — identical float ops
+        to the pre-batching implementation.
         """
-        if self.config.batch_size > 1 and self._batched_kernel:
+        if self.config.batch_size > 1:
             features = np.vstack([v[0] for v in views])
             edge_features = np.vstack([v[1] for v in views])
             adjacency = SparseAdjacency.block_diagonal([v[2] for v in views])
@@ -243,14 +228,11 @@ class GSGBranch:
         if self._network is None:
             raise RuntimeError("GSGBranch has not been fitted")
         batch_size = max(1, self.config.batch_size)
-        if batch_size > 1 and self._batched_kernel and len(samples) > 1:
-            scores = np.empty(len(samples), dtype=np.float64)
-            for start in range(0, len(samples), batch_size):
-                chunk = samples[start:start + batch_size]
-                features, edge_features, adjacency = self._prepare_batch(chunk)
-                logits = self._network.forward_batched(features, edge_features, adjacency)
-                scores[start:start + len(chunk)] = logits.data.ravel()
-            return scores
+        if batch_size > 1 and len(samples) > 1:
+            chunks = [samples[start:start + batch_size]
+                      for start in range(0, len(samples), batch_size)]
+            return np.concatenate([self._batch_logits(self._prepare_batch(chunk)).data
+                                   for chunk in chunks])
         scores = []
         for sample in samples:
             features, edge_features, adjacency = self._prepare(sample)

@@ -12,7 +12,7 @@ from repro.gnn.pooling import DiffPool
 from repro.gnn.recurrent import GRUCell
 from repro.gnn.sparse_ops import segment_mean_batch
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Parameter, Tensor, concat
+from repro.nn import Adam, Linear, Module, Parameter, Tensor
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.functional import relu, softmax
 
@@ -144,9 +144,6 @@ class LDGBranch:
         self.config = config or LDGConfig()
         self._network: _LDGNetwork | None = None
         self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
-        # Parity escape hatch — see GSGBranch: with batch_size > 1 and this
-        # flag off, the same minibatch schedule runs with per-sample forwards.
-        self._batched_kernel = True
 
     def _prepare(self, sample: AccountSubgraph):
         mean, std = self._feature_stats
@@ -170,13 +167,9 @@ class LDGBranch:
             for t in range(self.config.num_slices)]
         return features, slices
 
-    def _minibatch_logits(self, batch: list[AccountSubgraph]) -> Tensor:
-        """``(len(batch),)`` logits — stacked kernel or looped reference."""
-        if self._batched_kernel:
-            features, slices = self._prepare_batch(batch)
-            return self._network.forward_batched(features, slices).reshape(len(batch))
-        return concat([self._network(*self._prepare(s)).reshape(1)
-                       for s in batch], axis=0)
+    def _batch_logits(self, stack) -> Tensor:
+        """``(B,)`` logits of one :meth:`_prepare_batch` stack."""
+        return self._network.forward_batched(*stack).reshape(-1)
 
     def _fit_feature_stats(self, samples: list[AccountSubgraph]) -> None:
         stacked = np.vstack([s.node_features for s in samples])
@@ -205,9 +198,8 @@ class LDGBranch:
             rng.shuffle(indices)
             chunks = [indices[start:start + batch_size]
                       for start in range(0, len(indices), batch_size)]
-            batches = [[samples[i] for i in chunk] for chunk in chunks]
-            stacks = [self._prepare_batch(batch) for batch in batches] \
-                if self._batched_kernel else None
+            stacks = [self._prepare_batch([samples[i] for i in chunk])
+                      for chunk in chunks]
             order = np.arange(len(chunks))
         for _epoch in range(cfg.epochs):
             if batch_size == 1:
@@ -224,11 +216,7 @@ class LDGBranch:
                 rng.shuffle(order)
                 for j in order:
                     optimizer.zero_grad()
-                    if stacks is not None:
-                        logits = self._network.forward_batched(
-                            *stacks[j]).reshape(len(chunks[j]))
-                    else:
-                        logits = self._minibatch_logits(batches[j])
+                    logits = self._batch_logits(stacks[j])
                     loss = binary_cross_entropy_with_logits(logits, labels[chunks[j]])
                     loss.backward()
                     optimizer.step()
@@ -239,14 +227,11 @@ class LDGBranch:
         if self._network is None:
             raise RuntimeError("LDGBranch has not been fitted")
         batch_size = max(1, self.config.batch_size)
-        if batch_size > 1 and self._batched_kernel and len(samples) > 1:
-            scores = np.empty(len(samples), dtype=np.float64)
-            for start in range(0, len(samples), batch_size):
-                chunk = samples[start:start + batch_size]
-                features, slices = self._prepare_batch(chunk)
-                logits = self._network.forward_batched(features, slices)
-                scores[start:start + len(chunk)] = logits.data.ravel()
-            return scores
+        if batch_size > 1 and len(samples) > 1:
+            chunks = [samples[start:start + batch_size]
+                      for start in range(0, len(samples), batch_size)]
+            return np.concatenate([self._batch_logits(self._prepare_batch(chunk)).data
+                                   for chunk in chunks])
         scores = []
         for sample in samples:
             features, slices = self._prepare(sample)

@@ -30,8 +30,7 @@ def filter_transactions(transactions: Iterable[Transaction],
     return kept
 
 
-def build_transaction_graph(ledger: Ledger, min_value: float = 0.0,
-                            columnar: bool = True) -> TxGraph:
+def build_transaction_graph(ledger: Ledger, min_value: float = 0.0) -> TxGraph:
     """Build the full account-interaction graph with merged edges.
 
     Every submitted transaction becomes (part of) a directed edge from sender to
@@ -40,31 +39,24 @@ def build_transaction_graph(ledger: Ledger, min_value: float = 0.0,
     attributes record whether the account is a contract so downstream feature
     extraction can distinguish EOAs from contract accounts.
 
-    With ``columnar=True`` (the default) the edge stream is ingested straight
-    from the ledger's column arrays via :meth:`TxGraph.add_edges_bulk` — the
-    filter mask, the merge and the timestamp means are all vectorised, and no
-    ``Transaction`` object is ever materialised.  ``columnar=False`` keeps the
-    per-object loop; both paths produce bit-identical graphs (pinned by
-    ``tests/test_data_pipeline.py``).
+    The edge stream is ingested straight from the ledger's column arrays via
+    :meth:`TxGraph.add_edges_bulk` — the filter mask (the vectorised
+    :func:`filter_transactions`), the merge and the timestamp means are all
+    vectorised, and no ``Transaction`` object is ever materialised.
 
     The built graph remembers how many ledger rows it consumed (and the dust
     filter), so blocks appended to the ledger afterwards can be folded in
     incrementally with :meth:`TxGraph.ingest` instead of a full rebuild.
     """
     graph = TxGraph()
-    if columnar:
-        cols = ledger.tx_columns()
-        keep = (cols.submitted
-                & (cols.sender_id != cols.receiver_id)
-                & (cols.value >= min_value))
-        graph.add_edges_bulk(
-            cols.sender_id[keep], cols.receiver_id[keep],
-            amounts=cols.value[keep], timestamps=cols.timestamp[keep],
-            node_keys=ledger.store.addresses)
-    else:
-        for tx in filter_transactions(ledger.transactions(), min_value=min_value):
-            graph.add_edge(tx.sender, tx.receiver, amount=tx.value, count=1,
-                           timestamp=tx.timestamp)
+    cols = ledger.tx_columns()
+    keep = (cols.submitted
+            & (cols.sender_id != cols.receiver_id)
+            & (cols.value >= min_value))
+    graph.add_edges_bulk(
+        cols.sender_id[keep], cols.receiver_id[keep],
+        amounts=cols.value[keep], timestamps=cols.timestamp[keep],
+        node_keys=ledger.store.addresses)
     graph._ingested_rows = ledger.num_transactions
     graph._ingest_min_value = min_value
     contracts = ledger.contract_address_set()

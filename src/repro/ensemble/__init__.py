@@ -4,9 +4,7 @@ DBG4ETH feeds the calibrated GSG/LDG probabilities into a LightGBM classifier;
 the Figure 7 study also compares random forest, AdaBoost, XGBoost and an MLP.
 All of them are reimplemented here from scratch on numpy behind a common
 ``fit`` / ``predict`` / ``predict_proba`` interface.  The tree-based heads fit
-and predict on the flat histogram engine (:mod:`repro.ensemble.engine`); the
-recursive exact-splitter trees remain available as the validated reference
-(``tree_method="exact"``).
+and predict on the flat histogram engine (:mod:`repro.ensemble.engine`).
 """
 
 from repro.ensemble.engine import (
@@ -15,11 +13,7 @@ from repro.ensemble.engine import (
     GrowthParams,
     HistogramBinner,
 )
-from repro.ensemble.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    FlatClassifierTree,
-)
+from repro.ensemble.tree import FlatClassifierTree
 from repro.ensemble.boosting import (
     GradientBoostingClassifier,
     LightGBMClassifier,
@@ -34,8 +28,6 @@ __all__ = [
     "FlatTreeStack",
     "GrowthParams",
     "HistogramBinner",
-    "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
     "FlatClassifierTree",
     "GradientBoostingClassifier",
     "LightGBMClassifier",

@@ -20,8 +20,8 @@ builds on.  It replaces the two Python-loop hot spots of the recursive
 The array layout is exactly the preorder ``get_state`` format the persistence
 layer has shipped since PR 3, so a :class:`FlatTree` round-trips PR-3-era
 model directories bit-for-bit, and descent uses the same ``x <= threshold``
-comparisons as the recursive reference — predictions are bit-identical, not
-merely close.
+comparisons as the recursive reference walk (``tests/reference/exact_tree.py``)
+— predictions are bit-identical, not merely close.
 
 Split thresholds are mapped back from bin space to raw feature space
 (``threshold = edges[bin]``; ``np.searchsorted(edges, x) <= bin`` iff

@@ -4,7 +4,7 @@ All layers aggregate on CSR sparse adjacency (:class:`SparseAdjacency`) in
 O(E) per layer; dense ``(n, n)`` matrices are accepted everywhere and coerced
 on entry.  Feature matrices are :class:`repro.nn.Tensor`, so the whole stack
 trains with the numpy autograd engine; the seed's dense forward passes are
-preserved in :mod:`repro.gnn.dense_reference` as the parity/benchmark baseline.
+preserved in ``tests/reference/dense_gnn.py`` as the parity/benchmark baseline.
 """
 
 from repro.graph.sparse import SparseAdjacency

@@ -4,7 +4,7 @@ Every layer aggregates in O(E) over a :class:`~repro.graph.sparse.SparseAdjacenc
 dense ``(n, n)`` matrices are still accepted everywhere and converted on entry,
 so the seed's dense API keeps working.  ``tests/test_gnn_sparse_parity.py``
 pins each sparse forward against the faithful dense implementations preserved
-in :mod:`repro.gnn.dense_reference` to within 1e-9.
+in ``tests/reference/dense_gnn.py`` to within 1e-9.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ package's docstrings for the per-category patterns).  This module keeps the
 original tuple-based surface — one centre address in, a list of
 ``(sender, receiver, value, gas_price, gas_used, timestamp, is_contract_call)``
 tuples out — by running the matching scenario over an ad-hoc id universe and
-mapping the resulting columns back to address strings.  Useful for notebooks
-and tests that want a handful of transactions without a ledger; the generator
-itself calls the scenarios directly on interned id arrays.
+mapping the resulting columns back to address strings.  Tests use it to get
+a handful of transactions without a ledger; the generator itself calls the
+scenarios directly on interned id arrays.
 """
 
 from __future__ import annotations

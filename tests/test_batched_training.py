@@ -9,8 +9,9 @@ Three layers of pinning for the batched training path:
 * module-level tests pin the batched GraphAttentionReadout and DiffPool twins
   against the per-sample forwards, gradients included;
 * end-to-end tests train GSG/LDG with the stacked kernel and with the looped
-  reference (same minibatch schedule, per-sample forwards) and require final
-  weights and scores to agree to ``<= 1e-9``.
+  reference of ``tests/reference/looped_branches.py`` (same minibatch
+  schedule, per-sample forwards) and require final weights and scores to
+  agree to ``<= 1e-9``.
 """
 
 import numpy as np
@@ -24,6 +25,8 @@ from repro.gnn.sparse_ops import (segment_matmul, segment_max_batch,
                                   segment_mean_batch, segment_sum_batch)
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.nn import Tensor, concat
+
+from tests.reference.looped_branches import LoopedGSGBranch, LoopedLDGBranch
 
 PARITY_ATOL = 1e-9
 
@@ -258,12 +261,11 @@ def tiny_ldg_config(**overrides) -> LDGConfig:
     return config
 
 
-def fit_twice(branch_cls, config_factory, samples, labels):
+def fit_twice(branch_classes, config_factory, samples, labels):
     """Fit with the stacked kernel and with the looped reference."""
     results = []
-    for batched_kernel in (True, False):
+    for branch_cls in branch_classes:
         branch = branch_cls(config_factory())
-        branch._batched_kernel = batched_kernel
         branch.fit(samples, labels)
         results.append((branch.predict_scores(samples),
                         [p.data.copy() for p in branch._network.parameters()]))
@@ -281,7 +283,7 @@ class TestEndToEndParity:
     def test_gsg_batched_matches_looped_reference(self, tiny_task, batch_size):
         samples, labels = tiny_task
         (scores_b, weights_b), (scores_r, weights_r) = fit_twice(
-            GSGBranch, lambda: tiny_gsg_config(batch_size=batch_size),
+            (GSGBranch, LoopedGSGBranch), lambda: tiny_gsg_config(batch_size=batch_size),
             samples, labels)
         for got, expected in zip(weights_b, weights_r):
             np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
@@ -291,7 +293,7 @@ class TestEndToEndParity:
     def test_ldg_batched_matches_looped_reference(self, tiny_task, batch_size):
         samples, labels = tiny_task
         (scores_b, weights_b), (scores_r, weights_r) = fit_twice(
-            LDGBranch, lambda: tiny_ldg_config(batch_size=batch_size),
+            (LDGBranch, LoopedLDGBranch), lambda: tiny_ldg_config(batch_size=batch_size),
             samples, labels)
         for got, expected in zip(weights_b, weights_r):
             np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
@@ -301,26 +303,15 @@ class TestEndToEndParity:
         samples, labels = tiny_task
         branch = GSGBranch(tiny_gsg_config(batch_size=6)).fit(samples, labels)
         batched = branch.predict_scores(samples)
-        branch._batched_kernel = False
-        sequential = branch.predict_scores(samples)
+        sequential = np.concatenate([branch.predict_scores([s]) for s in samples])
         np.testing.assert_allclose(batched, sequential, atol=PARITY_ATOL, rtol=0)
 
     def test_ldg_batched_predict_matches_sequential_predict(self, tiny_task):
         samples, labels = tiny_task
         branch = LDGBranch(tiny_ldg_config(batch_size=6)).fit(samples, labels)
         batched = branch.predict_scores(samples)
-        branch._batched_kernel = False
-        sequential = branch.predict_scores(samples)
+        sequential = np.concatenate([branch.predict_scores([s]) for s in samples])
         np.testing.assert_allclose(batched, sequential, atol=PARITY_ATOL, rtol=0)
-
-    def test_gsg_batch_size_one_unchanged_by_kernel_flag(self, tiny_task):
-        """batch_size=1 must take the legacy path whatever the flag says."""
-        samples, labels = tiny_task
-        a = GSGBranch(tiny_gsg_config()).fit(samples, labels).predict_scores(samples)
-        branch = GSGBranch(tiny_gsg_config())
-        branch._batched_kernel = False
-        b = branch.fit(samples, labels).predict_scores(samples)
-        np.testing.assert_array_equal(a, b)
 
 
 @pytest.fixture(scope="module")

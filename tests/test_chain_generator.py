@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.chain import AccountCategory, LedgerConfig, LedgerGenerator, generate_ledger
-from repro.chain.behaviors import (
+from repro.chain.scenarios import MIXER_DENOMINATIONS
+
+from tests.reference.behaviors import (
     BEHAVIORS,
     airdrop_farming_behavior,
     behavior_for,
@@ -17,7 +19,7 @@ from repro.chain.behaviors import (
     phish_hack_behavior,
     wash_trading_behavior,
 )
-from repro.chain.scenarios import MIXER_DENOMINATIONS
+from tests.reference.object_paths import generate_ledger_objects
 
 
 @pytest.fixture()
@@ -144,16 +146,14 @@ class TestLedgerConfig:
 
 
 class TestColumnarObjectParity:
-    """The columnar and object assembly paths must build identical ledgers."""
+    """The columnar assembly must build the object reference's ledger exactly."""
 
     @pytest.mark.parametrize("scale,seed", [(0.1, 7), (0.25, 11)])
     def test_paths_produce_identical_ledgers(self, scale, seed):
-        from repro.chain import LedgerGenerator
-
         config = LedgerConfig().scaled(scale)
         config.seed = seed
-        columnar = LedgerGenerator(config, columnar=True).generate()
-        objects = LedgerGenerator(config, columnar=False).generate()
+        columnar = LedgerGenerator(config).generate()
+        objects = generate_ledger_objects(config)
         cc, co = columnar.tx_columns(), objects.tx_columns()
         for name in ("sender_id", "receiver_id", "value", "gas_price", "gas_used",
                      "timestamp", "is_contract_call", "submitted", "block_number"):
@@ -166,11 +166,6 @@ class TestColumnarObjectParity:
             == [b.timestamp for b in objects.blocks]
         first = next(columnar.transactions())
         assert first == next(objects.transactions())
-
-    def test_default_path_is_columnar(self):
-        from repro.chain import LedgerGenerator
-
-        assert LedgerGenerator().columnar is True
 
 
 class TestLedgerGenerator:

@@ -13,6 +13,8 @@ from repro.data import (
 )
 from repro.graph import TxGraph
 
+from tests.reference.object_paths import build_transaction_graph_objects
+
 
 def make_tx(i, sender="0xaa", receiver="0xbb", value=1.0, submitted=True):
     return Transaction(f"0x{i}", sender, receiver, value, 20.0, 21_000,
@@ -65,11 +67,11 @@ class TestBuildTransactionGraph:
 
 
 class TestColumnarGraphParity:
-    """The columnar bulk ingest must produce a bit-identical graph."""
+    """The columnar bulk ingest must match the per-object reference bit for bit."""
 
     def test_bit_identical_to_object_path(self, small_ledger):
-        columnar = build_transaction_graph(small_ledger, columnar=True)
-        objects = build_transaction_graph(small_ledger, columnar=False)
+        columnar = build_transaction_graph(small_ledger)
+        objects = build_transaction_graph_objects(small_ledger)
         assert columnar.nodes == objects.nodes
         assert [(e.src, e.dst) for e in columnar.edges] \
             == [(e.src, e.dst) for e in objects.edges]
@@ -83,8 +85,8 @@ class TestColumnarGraphParity:
             assert columnar.node_attr(node, "label") == objects.node_attr(node, "label")
 
     def test_min_value_filter_matches(self, small_ledger):
-        columnar = build_transaction_graph(small_ledger, min_value=0.5, columnar=True)
-        objects = build_transaction_graph(small_ledger, min_value=0.5, columnar=False)
+        columnar = build_transaction_graph(small_ledger, min_value=0.5)
+        objects = build_transaction_graph_objects(small_ledger, min_value=0.5)
         assert columnar.nodes == objects.nodes
         assert columnar.num_edges == objects.num_edges
 

@@ -5,8 +5,6 @@ import pytest
 
 from repro.ensemble import (
     AdaBoostClassifier,
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
     GradientBoostingClassifier,
     LightGBMClassifier,
     MLPClassifier,
@@ -14,6 +12,9 @@ from repro.ensemble import (
     XGBoostClassifier,
 )
 from repro.metrics import accuracy, auc_score
+
+from tests.reference.exact_heads import ExactRandomForestClassifier
+from tests.reference.exact_tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 BINARY_MODELS = [
     GradientBoostingClassifier,
@@ -170,8 +171,10 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForestClassifier(max_features="bogus").fit(np.ones((4, 2)), np.array([0, 1, 0, 1]))
 
-    @pytest.mark.parametrize("tree_method", ["hist", "exact"])
-    def test_rare_class_missing_from_bootstraps(self, tree_method):
+    @pytest.mark.parametrize("forest_cls", [RandomForestClassifier,
+                                            ExactRandomForestClassifier],
+                             ids=["hist", "exact"])
+    def test_rare_class_missing_from_bootstraps(self, forest_cls):
         """Regression: bootstraps that miss a rare class used to crash the stack.
 
         Trees grown on a resample without the minority class have narrower
@@ -182,8 +185,7 @@ class TestRandomForest:
         X = rng.normal(size=(60, 4))
         y = np.zeros(60, dtype=int)
         y[:2] = 1
-        forest = RandomForestClassifier(n_estimators=30, max_depth=4, seed=0,
-                                        tree_method=tree_method).fit(X, y)
+        forest = forest_cls(n_estimators=30, max_depth=4, seed=0).fit(X, y)
         # The scenario only bites if some (not all) trees missed the rare class.
         widths = {len(tree.classes_) for tree in forest._trees}
         assert widths == {1, 2}
@@ -202,21 +204,6 @@ class TestRandomForest:
         restored = RandomForestClassifier().set_state(forest.get_state())
         np.testing.assert_array_equal(restored.predict_proba(X),
                                       forest.predict_proba(X))
-
-
-class TestNativeBackendGuards:
-    """``backend="native"`` must raise, not silently fall back, without the package."""
-
-    @pytest.mark.parametrize("factory", [LightGBMClassifier, XGBoostClassifier],
-                             ids=["lightgbm", "xgboost"])
-    def test_native_backend_raises_without_package(self, factory):
-        from repro.ensemble import native
-        name = "lightgbm" if factory is LightGBMClassifier else "xgboost"
-        if getattr(native, f"HAS_{name.upper()}"):
-            pytest.skip(f"{name} is installed; the guard cannot fire")
-        X, y = two_moons_like(40)
-        with pytest.raises(RuntimeError, match=name):
-            factory(n_estimators=2, backend="native").fit(X, y)
 
 
 class TestMLP:

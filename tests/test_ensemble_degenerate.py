@@ -19,12 +19,29 @@ from repro.ensemble import (
     XGBoostClassifier,
 )
 
+from tests.reference.exact_heads import (
+    ExactAdaBoostClassifier,
+    ExactGradientBoostingClassifier,
+    ExactLightGBMClassifier,
+    ExactRandomForestClassifier,
+    ExactXGBoostClassifier,
+)
+
 HEADS = {
     "gbm": lambda **kw: GradientBoostingClassifier(n_estimators=5, **kw),
     "lightgbm": lambda **kw: LightGBMClassifier(n_estimators=5, **kw),
     "xgboost": lambda **kw: XGBoostClassifier(n_estimators=5, **kw),
     "adaboost": lambda **kw: AdaBoostClassifier(n_estimators=5, **kw),
     "random_forest": lambda **kw: RandomForestClassifier(n_estimators=5, **kw),
+}
+
+#: The same heads fitted with the recursive exact splitter.
+EXACT_HEADS = {
+    "gbm": lambda **kw: ExactGradientBoostingClassifier(n_estimators=5, **kw),
+    "lightgbm": lambda **kw: ExactLightGBMClassifier(n_estimators=5, **kw),
+    "xgboost": lambda **kw: ExactXGBoostClassifier(n_estimators=5, **kw),
+    "adaboost": lambda **kw: ExactAdaBoostClassifier(n_estimators=5, **kw),
+    "random_forest": lambda **kw: ExactRandomForestClassifier(n_estimators=5, **kw),
 }
 
 
@@ -80,9 +97,9 @@ def test_tiny_subsample_mask_falls_back_to_all_rows(factory):
 
 
 @pytest.mark.parametrize("name", sorted(HEADS))
-@pytest.mark.parametrize("tree_method", ["hist", "exact"])
-def test_degenerate_regimes_in_both_engines(name, tree_method):
+@pytest.mark.parametrize("heads", [HEADS, EXACT_HEADS], ids=["hist", "exact"])
+def test_degenerate_regimes_in_both_engines(name, heads):
     """Single-class + constant-column combined, on both splitters."""
     X = np.zeros((6, 2))
     y = np.ones(6)
-    _fit_and_check_majority(HEADS[name](seed=0, tree_method=tree_method), X, y)
+    _fit_and_check_majority(heads[name](seed=0), X, y)

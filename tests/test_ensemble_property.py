@@ -19,8 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ensemble import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
     GradientBoostingClassifier,
     GrowthParams,
     HistogramBinner,
@@ -28,6 +26,8 @@ from repro.ensemble import (
     RandomForestClassifier,
 )
 from repro.ensemble.engine import MIN_GAIN, best_histogram_split, newton_gain
+
+from tests.reference.exact_tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
