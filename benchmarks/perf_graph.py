@@ -10,17 +10,24 @@ Measures, at several transaction-count scales:
 * ``sample``     — 2-hop top-K ego-subgraph extraction (Eq. 2),
 * ``extract``    — batched deep-feature extraction (Table I),
 * ``centrality`` — eigenvector + PageRank power iteration,
+* ``ingest_resample`` — append rows touching some sampled centres,
+  ``TxGraph.ingest`` them, then time the first re-sample (which extends the
+  CSR row index) and the following ones, against the first sample on a
+  cold graph of the grown ledger (which builds the index from nothing),
 
-the latter three against faithful re-implementations of the seed code paths
-(``LegacyTxGraph`` re-derives ``neighbors``/``degree``/``out_edges``/
-``in_edges``/``subgraph`` from a full edge-dict scan; the legacy extract is a
-per-address loop; the legacy centralities run dense ``(n, n)`` matrices).
+``sample``, ``extract`` and ``centrality`` run against faithful
+re-implementations of the seed code paths (``LegacyTxGraph`` re-derives
+``neighbors``/``degree``/``out_edges``/``in_edges``/``subgraph`` from a full
+edge-dict scan; the legacy extract is a per-address loop; the legacy
+centralities run dense ``(n, n)`` matrices).
 
 Bit parity between the columnar and dict-backed graphs — node order, edge
 order, amounts, counts and the iterative count-weighted timestamp means — is
 asserted before any timing is recorded.  Results, including speedups, are
 written to ``BENCH_graph.json``.  Scales above ``--build-only-above`` run the
-build comparison only (the legacy O(V*E) sampler would take minutes there).
+build comparison and ``ingest_resample`` only (the legacy O(V*E) sampler
+would take minutes there).  ``ingest_resample`` asserts that the re-sampled
+node sets equal the cold graph's before recording its timings.
 
 Run::
 
@@ -467,6 +474,62 @@ def _sample_centers(graph: TxGraph, rng: np.random.Generator, count: int) -> lis
     return picks
 
 
+def bench_ingest_resample(ledger, graph: TxGraph, num_centers: int, hops: int,
+                          top_k: int, seed: int) -> dict:
+    """Sample some centres, append rows touching them, ``ingest``, re-sample.
+
+    The follow-the-chain round in miniature: the first ``ego_subgraph`` call
+    after the ingest extends the graph's CSR row index over the new edges,
+    the following calls read it as is.  The re-sampled node sets must equal
+    those of a cold graph built over the grown ledger, whose first call
+    builds the index from nothing (timed for comparison).
+    """
+    rng = np.random.default_rng(seed)
+    nodes = graph.nodes
+    centers = [nodes[i] for i in
+               rng.choice(len(nodes), size=min(num_centers, len(nodes)), replace=False)]
+    for center in centers:
+        ego_subgraph(graph, center, hops=hops, k=top_k)
+
+    store = ledger.store
+    count = max(100, ledger.num_transactions // 500)
+    senders = rng.integers(0, store.num_addresses, size=count)
+    receivers = rng.integers(0, store.num_addresses, size=count)
+    ids = np.array([store.address_id(center) for center in centers], dtype=np.int64)
+    touching = np.arange(count // 4)
+    senders[touching[::2]] = ids[touching[::2] % len(ids)]
+    receivers[touching[1::2]] = ids[touching[1::2] % len(ids)]
+    receivers = np.where(receivers == senders, (receivers + 1) % store.num_addresses,
+                         receivers)
+    start = ledger.timespan()[1] + ledger.block_interval
+    ledger.append_blocks_columnar(
+        senders, receivers,
+        values=rng.uniform(0.5, 20.0, count),
+        gas_prices=np.full(count, 20.0),
+        gas_used=np.full(count, 21_000, dtype=np.int64),
+        timestamps=start + np.arange(count, dtype=np.float64),
+        is_contract_call=np.zeros(count, dtype=bool),
+        submitted=np.ones(count, dtype=bool),
+        transactions_per_block=50)
+
+    def resample(g, which):
+        return [ego_subgraph(g, center, hops=hops, k=top_k) for center in which]
+
+    ingest_time, _ = _timed(lambda: graph.ingest(ledger))
+    first_time, subs = _timed(lambda: resample(graph, centers[:1]))
+    rest_time, rest = _timed(lambda: resample(graph, centers[1:]))
+    cold_graph = build_transaction_graph(ledger)
+    cold_first_time, cold_subs = _timed(lambda: resample(cold_graph, centers[:1]))
+    cold_subs += resample(cold_graph, centers[1:])
+    for sub, cold_sub in zip(subs + rest, cold_subs):
+        assert sub.nodes == cold_sub.nodes, "ingest->resample parity violated"
+    return {"appended_rows": count, "centers": len(centers),
+            "ingest_seconds": ingest_time,
+            "first_sample_seconds": first_time,
+            "following_sample_seconds_mean": rest_time / max(1, len(rest)),
+            "cold_graph_first_sample_seconds": cold_first_time}
+
+
 def bench_scale(target_txs: int, hops: int = 2, top_k: int = 2000,
                 num_centers: int = 20, extract_reps: int = 5,
                 seed: int = 7, build_only: bool = False) -> dict:
@@ -497,6 +560,8 @@ def bench_scale(target_txs: int, hops: int = 2, top_k: int = 2000,
     record["to_csr_seconds"] = csr_time
     if build_only:
         record["build_only"] = True
+        record["ingest_resample"] = bench_ingest_resample(
+            ledger, graph, num_centers, hops, top_k, seed + 1)
         return record
 
     legacy_graph = LegacyTxGraph()
@@ -557,6 +622,9 @@ def bench_scale(target_txs: int, hops: int = 2, top_k: int = 2000,
         "centrality_seconds": {"legacy": cent_old, "indexed": cent_new,
                                "speedup": cent_old / cent_new,
                                "subgraph_nodes": cent_sub.num_nodes},
+        # Last: it appends to the ledger every other leg reads.
+        "ingest_resample": bench_ingest_resample(
+            ledger, graph, num_centers, hops, top_k, seed + 1),
     })
     return record
 
@@ -588,6 +656,11 @@ def run(scales=DEFAULT_SCALES, output: Path | None = DEFAULT_OUTPUT,
                      f"centrality {record['centrality_seconds']['speedup']:5.1f}x")
         else:
             line += " | build-only scale"
+        leg = record["ingest_resample"]
+        line += (f" | resample after ingest: first "
+                 f"{leg['first_sample_seconds']*1e3:.1f} ms (cold graph "
+                 f"{leg['cold_graph_first_sample_seconds']*1e3:.1f} ms), then "
+                 f"{leg['following_sample_seconds_mean']*1e3:.1f} ms")
         print(line)
     if output is not None:
         output.write_text(json.dumps(results, indent=2) + "\n")

@@ -430,11 +430,11 @@ class SubgraphDatasetBuilder:
 
     def _truncate(self, sub: TxGraph, center: str, max_nodes: int) -> TxGraph:
         """Keep the centre plus the highest-degree nodes when a subgraph is too large."""
-        degrees = sub.degree_vector()
-        ranked = sorted((node for node in sub.nodes if node != center),
-                        key=lambda n: -degrees[sub.node_index(n)])
-        keep = [center] + ranked[:max_nodes - 1]
-        return sub.subgraph(keep)
+        # Stable, so degree ties keep sub.nodes order.
+        ranked = np.argsort(-sub.degree_vector(), kind="stable")
+        ranked = ranked[ranked != sub.node_index(center)][:max_nodes - 1]
+        order = sub.node_order
+        return sub.subgraph([center] + [order[i] for i in ranked.tolist()])
 
 
 # Process-pool plumbing for :meth:`SubgraphDatasetBuilder.build`: each worker

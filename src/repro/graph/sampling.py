@@ -30,10 +30,16 @@ def top_k_neighbors(graph: TxGraph, node: Hashable, k: int) -> list[Hashable]:
     """
     if node not in graph:
         return []
-    idx = graph.node_index(node)
+    node_order = graph.node_order
+    return [node_order[i] for i in _top_k_ids(graph, graph.node_index(node), k)]
+
+
+def _top_k_ids(graph: TxGraph, idx: int, k: int) -> list[int]:
+    """:func:`top_k_neighbors` over node ids: the ranked ids of node ``idx``'s top-k."""
+    ids = np.array([idx], dtype=np.int64)
     src_ids, dst_ids, amount_col, count_col, _ts = graph.edge_arrays()
-    out_slots = graph.out_slots(node)
-    in_slots = graph.in_slots(node)
+    out_slots = graph.incident_slots(ids, out=True)[0]
+    in_slots = graph.incident_slots(ids, out=False)[0]
     others = np.concatenate([dst_ids[out_slots], src_ids[in_slots]])
     slots = np.concatenate([out_slots, in_slots])
     not_self = others != idx
@@ -56,7 +62,7 @@ def top_k_neighbors(graph: TxGraph, node: Hashable, k: int) -> list[Hashable]:
     ranked = sorted(
         zip(uniq.tolist(), best.tolist(), totals.tolist()),
         key=lambda item: (-item[1], -item[2], str(node_order[item[0]])))
-    return [node_order[i] for i, _best, _total in ranked[:k]]
+    return [i for i, _best, _total in ranked[:k]]
 
 
 def ego_subgraph(graph: TxGraph, center: Hashable, hops: int = 2, k: int = 2000) -> TxGraph:
@@ -66,26 +72,37 @@ def ego_subgraph(graph: TxGraph, center: Hashable, hops: int = 2, k: int = 2000)
     each frontier node contributes its top-K neighbours (by average transaction
     value) to the next frontier, and the union of all sampled nodes induces the
     returned subgraph.
+
+    Each hop gathers the frontier's out- and in-rows from the CSR row index
+    in one pass and tracks the sampled set as a boolean mask over node ids.
+    A frontier node with at most ``k`` incident edges contributes all of its
+    neighbours (they all rank in its top-k), so only nodes of larger degree
+    pay for :func:`top_k_neighbors`' ranking.
     """
     if center not in graph:
         raise KeyError(f"center node {center!r} is not in the graph")
-    selected: set[Hashable] = {center}
-    frontier: set[Hashable] = {center}
+    src_ids, dst_ids = graph.edge_arrays()[:2]
+    selected = np.zeros(graph.num_nodes, dtype=bool)
+    frontier = np.array([graph.node_index(center)], dtype=np.int64)
+    selected[frontier] = True
     for _hop in range(hops):
-        next_frontier: set[Hashable] = set()
-        for node in frontier:
-            # With at most k incident edges every neighbour ranks in the top-k,
-            # so the scoring/sorting pass can be skipped outright; the centre
-            # itself (a self-loop "neighbour") is already in ``selected``.
-            if graph.degree(node) <= k:
-                candidates = graph.neighbors(node)
-            else:
-                candidates = top_k_neighbors(graph, node, k)
-            for neighbor in candidates:
-                if neighbor not in selected:
-                    next_frontier.add(neighbor)
-        selected |= next_frontier
-        frontier = next_frontier
-        if not frontier:
+        out_slots, out_lens = graph.incident_slots(frontier, out=True)
+        in_slots, in_lens = graph.incident_slots(frontier, out=False)
+        out_nbrs = dst_ids[out_slots]
+        in_nbrs = src_ids[in_slots]
+        out_owner = np.repeat(np.arange(len(frontier)), out_lens)
+        in_owner = np.repeat(np.arange(len(frontier)), in_lens)
+        # graph.degree per frontier node: a self-loop sits in both rows but
+        # counts once.
+        loops = np.bincount(out_owner[out_nbrs == frontier[out_owner]],
+                            minlength=len(frontier))
+        large = out_lens + in_lens - loops > k
+        candidates = [out_nbrs[~large[out_owner]], in_nbrs[~large[in_owner]]]
+        candidates += [np.array(_top_k_ids(graph, idx, k), dtype=np.int64)
+                       for idx in frontier[large].tolist()]
+        reached = np.concatenate(candidates)
+        frontier = np.unique(reached[~selected[reached]])
+        if not len(frontier):
             break
-    return graph.subgraph(selected)
+        selected[frontier] = True
+    return graph._induced_subgraph(np.flatnonzero(selected))

@@ -8,8 +8,8 @@ object API boundary (``edges``, ``out_edges``, ``in_edges``, ``get_edge``,
 ``edges_between``); the hot consumers (``to_csr``, ``subgraph``, sampling,
 centrality, time slicing) read the columns directly via :meth:`edge_arrays`.
 
-Per-node adjacency is served from a lazily built CSR row index (edge slots
-sorted by endpoint, insertion order preserved within each row), and the
+Per-node adjacency is served from a lazily extended CSR row index (edge
+slots sorted by endpoint, insertion order preserved within each row), and the
 ``(src, dst) -> slot`` lookup dict is also built lazily, so a bulk-ingested
 graph pays no per-edge Python object or dict cost at construction time.  See
 ``DESIGN.md`` for the column/index invariants.
@@ -37,6 +37,39 @@ __all__ = ["Edge", "TxGraph"]
 
 #: Bit width used to pack an ``(src_id, dst_id)`` pair into one int key.
 _PAIR_SHIFT = 32
+
+
+def _extend_rows(indptr: np.ndarray, slots: np.ndarray, keys: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extend a CSR row index to every slot of ``keys`` (slot -> row id).
+
+    ``slots`` is the stable argsort of ``keys[:len(slots)]`` and ``indptr``
+    its row pointer over the rows that existed then.  Slots are append-only
+    and every unindexed slot is larger than every indexed one, so in the
+    stable order of all of ``keys`` each row lists its old slots and then
+    its new ones: the new slots are stably sorted among themselves and
+    inserted at the ends of their rows, an O(E) merge with no global sort.
+    Returns fresh ``(indptr, slots)`` over ``n`` rows.
+    """
+    first = len(slots)
+    new_keys = keys[first:]
+    order = np.argsort(new_keys, kind="stable")
+    counts = np.bincount(new_keys, minlength=n)
+    # Where each row ends in the old array; rows added since then end where
+    # the old array does.
+    ends = np.full(n, first, dtype=np.int64)
+    ends[:len(indptr) - 1] = indptr[1:]
+    # New slot j (in stable order) lands after its row's old slots and after
+    # the j new slots sorted before it.
+    positions = np.repeat(ends, counts) + np.arange(len(order))
+    merged = np.empty(len(keys), dtype=np.int64)
+    is_new = np.zeros(len(keys), dtype=bool)
+    is_new[positions] = True
+    merged[positions] = order + first
+    merged[~is_new] = slots
+    grown = np.zeros(n + 1, dtype=np.int64)
+    grown[1:] = ends + np.cumsum(counts)
+    return grown, merged
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +115,8 @@ class TxGraph:
     * the CSR row index — ``_out_indptr``/``_out_slots`` (and the ``_in``
       twins) list each node's incident edge slots in insertion order,
       serving ``out_edges``/``in_edges``/``neighbors``/``degree`` in O(deg).
+      Appends only ever add larger slots, so a stale index is extended in
+      O(E) (new slots go to the ends of their rows), never re-sorted.
     * the :meth:`to_csr` cache — adjacency arrays shared with callers under
       the same treat-as-immutable contract as ``SparseAdjacency``.
     """
@@ -105,11 +140,13 @@ class TxGraph:
         self._structure_version = 0
         self._slot_of: dict[int, int] = {}
         self._slot_synced = 0               # edges currently keyed in _slot_of
-        self._adj_version = -1              # CSR row index validity
-        self._out_indptr: np.ndarray | None = None
-        self._out_slots: np.ndarray | None = None
-        self._in_indptr: np.ndarray | None = None
-        self._in_slots: np.ndarray | None = None
+        # CSR row index over the first len(_out_slots) edge slots, extended
+        # (never rebuilt) as edges are appended; starts empty.
+        self._adj_version = -1
+        self._out_indptr = np.zeros(1, dtype=np.int64)
+        self._out_slots = np.empty(0, dtype=np.int64)
+        self._in_indptr = np.zeros(1, dtype=np.int64)
+        self._in_slots = np.empty(0, dtype=np.int64)
         self._csr_version = -1              # to_csr() cache validity
         self._csr_cache: dict = {}
         # Follow-the-chain bookkeeping: how many ledger rows this graph has
@@ -264,10 +301,12 @@ class TxGraph:
             self._slot_synced = m
 
     def _ensure_adjacency(self) -> None:
-        """(Re)build the CSR row index when the structure changed since last build.
+        """Extend the CSR row index over the slots and nodes added since last use.
 
-        Double-checked: ``_adj_version`` is assigned last, so the lock-free
-        fast path only ever observes a fully built index.
+        The cold build is the same extension starting from the empty index.
+        Double-checked: fresh arrays are published and ``_adj_version`` is
+        assigned last, so the lock-free fast path only ever observes a fully
+        built index.
         """
         if self._adj_version == self._structure_version:
             return
@@ -276,17 +315,10 @@ class TxGraph:
                 return
             m = self._m
             n = len(self._node_order)
-            src = self._src[:m]
-            dst = self._dst[:m]
-            # Stable argsort groups each node's slots while preserving global
-            # insertion order within the row — the same iteration order the
-            # per-node dict indexes produced.
-            self._out_slots = np.argsort(src, kind="stable")
-            self._in_slots = np.argsort(dst, kind="stable")
-            self._out_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=n), out=self._out_indptr[1:])
-            self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(dst, minlength=n), out=self._in_indptr[1:])
+            self._out_indptr, self._out_slots = _extend_rows(
+                self._out_indptr, self._out_slots, self._src[:m], n)
+            self._in_indptr, self._in_slots = _extend_rows(
+                self._in_indptr, self._in_slots, self._dst[:m], n)
             self._adj_version = self._structure_version
 
     def _edge_at(self, slot: int) -> Edge:
@@ -519,7 +551,7 @@ class TxGraph:
 
         # Append the merged edges as whole column blocks, in first-appearance
         # order.  No Edge objects, no per-edge dict writes — the pair -> slot
-        # dict and the CSR row index are rebuilt lazily on first lookup.
+        # dict and the CSR row index are extended lazily on first lookup.
         src_gid = code_gid[(uniq_pairs // num_keys)[pair_appearance]]
         dst_gid = code_gid[(uniq_pairs % num_keys)[pair_appearance]]
         self._grow(num_edges_new)
@@ -675,6 +707,22 @@ class TxGraph:
     def in_slots(self, node: Hashable) -> np.ndarray:
         """Edge-column slots of ``node``'s in-edges, in insertion order."""
         return self._row_slots(node, "_in_indptr", "_in_slots")
+
+    def incident_slots(self, ids: np.ndarray, out: bool = True,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Out- (or in-) edge slots of the node ids ``ids`` and each row's length.
+
+        The rows are concatenated in ``ids`` order, each in insertion order —
+        one array gather over the CSR row index, no per-node slicing.
+        """
+        self._ensure_adjacency()
+        indptr, slots = ((self._out_indptr, self._out_slots) if out
+                         else (self._in_indptr, self._in_slots))
+        starts = indptr[ids]
+        lens = indptr[ids + 1] - starts
+        ends = np.cumsum(lens)
+        positions = np.repeat(starts - (ends - lens), lens) + np.arange(lens.sum())
+        return slots[positions], lens
 
     def out_edges(self, node: Hashable) -> Iterator[Edge]:
         for slot in self.out_slots(node).tolist():
@@ -834,16 +882,22 @@ class TxGraph:
         edges yields an edgeless subgraph — never a KeyError.
         """
         node_index = self._nodes
-        keep_ids = sorted({node_index[node] for node in nodes if node in node_index})
+        keep_ids = np.unique(np.fromiter(
+            (node_index[node] for node in nodes if node in node_index),
+            dtype=np.int64))
+        return self._induced_subgraph(keep_ids)
+
+    def _induced_subgraph(self, keep_ids: np.ndarray) -> "TxGraph":
+        """Induced subgraph on the sorted, duplicate-free node ids ``keep_ids``."""
         sub = TxGraph()
         order = self._node_order
-        for new_id, old_id in enumerate(keep_ids):
-            node = order[old_id]
-            sub._nodes[node] = new_id
-            sub._node_order.append(node)
-            sub._node_attrs[node] = dict(self._node_attrs[node])
+        attrs = self._node_attrs
+        kept = [order[i] for i in keep_ids.tolist()]
+        sub._node_order = kept
+        sub._nodes = dict(zip(kept, range(len(kept))))
+        sub._node_attrs = {node: attrs[node].copy() for node in kept}
         m = self._m
-        if m and keep_ids:
+        if m and len(keep_ids):
             n = len(order)
             in_keep = np.zeros(n, dtype=bool)
             in_keep[keep_ids] = True
@@ -851,10 +905,7 @@ class TxGraph:
                     and len(keep_ids) * 4 < n):
                 # Gather candidate slots from the CSR row index: O(sum deg),
                 # then restore global insertion order with a sort on slots.
-                indptr = self._out_indptr
-                out_slots = self._out_slots
-                parts = [out_slots[indptr[i]:indptr[i + 1]] for i in keep_ids]
-                cand = np.concatenate(parts)
+                cand, _lens = self.incident_slots(keep_ids)
                 slots = np.sort(cand[in_keep[self._dst[cand]]])
             else:
                 # Dense selection: one vectorised pass over the edge columns.

@@ -14,7 +14,10 @@ harnesses:
   and graph construction (bit-identical to the columnar paths);
 * :mod:`tests.reference.dense_gnn` — the seed's dense ``(n, n)`` GNN math;
 * :mod:`tests.reference.behaviors` — the per-tuple behaviour API over the
-  scenario engine.
+  scenario engine;
+* :mod:`tests.reference.graph_reads` — the CSR row index rebuilt by one
+  stable argsort and the set-based per-centre ego sampler (the references
+  for the extended index and the array-gather sampler).
 
 Import with the repository root on ``sys.path`` (``python -m pytest`` from
 the root does this; the benchmark scripts run with ``PYTHONPATH=src:.``).

@@ -91,6 +91,22 @@ class TestGraphIngest:
         assert graph.ingested_rows == ledger.num_transactions
         assert set(targets) <= set(touched)
 
+    def test_row_index_extended_by_ingest_matches_cold_build(self):
+        """Read (building the CSR row index), append, ingest, read again: the
+        extended index equals the one a cold build over the grown ledger sorts."""
+        ledger = fresh_ledger(seed=2)
+        graph = build_transaction_graph(ledger, min_value=0.5)
+        address = ledger.store.addresses[0]
+        before = graph.out_degree(address)
+        append_block_touching(ledger, [address])
+        graph.ingest(ledger)
+        assert graph.out_degree(address) > before
+        cold = build_transaction_graph(ledger, min_value=0.5)
+        cold._ensure_adjacency()
+        for name in ("_out_indptr", "_out_slots", "_in_indptr", "_in_slots"):
+            np.testing.assert_array_equal(getattr(graph, name),
+                                          getattr(cold, name), err_msg=name)
+
     def test_ingest_is_idempotent_when_clean(self):
         ledger = fresh_ledger()
         graph = build_transaction_graph(ledger)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph import TxGraph
 
 from tests._dict_reference import DictGraphReference
+from tests.reference.graph_reads import assert_csr_matches_fresh_sort
 
 # One row: (src, dst, amount, count, timestamp) over a small node universe so
 # duplicates, self-loops and cross-batch pair repeats are frequent.
@@ -79,6 +80,21 @@ def test_interleaved_programs_match_sequential_reference(batches):
     apply_program(graph, batches)
     apply_sequential(reference, batches)
     assert_bit_identical(graph, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program)
+def test_reads_after_every_batch_extend_the_row_index_exactly(batches):
+    """Reading between batches makes every later read *extend* the CSR row
+    index rather than build it cold; it must equal a fresh stable argsort and
+    serve the same per-node reads as the sequential reference each time."""
+    graph = TxGraph()
+    reference = DictGraphReference()
+    for batch in batches:
+        apply_program(graph, [batch])
+        apply_sequential(reference, [batch])
+        assert_bit_identical(graph, reference)
+        assert_csr_matches_fresh_sort(graph)
 
 
 @settings(max_examples=30, deadline=None)
