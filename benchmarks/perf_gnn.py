@@ -10,6 +10,8 @@ Measures, at several subgraph node-count scales:
 
 each against the faithful dense reference implementations preserved in
 :mod:`tests.reference.dense_gnn` (the exact seed math, same layer weights).
+The ``gsg`` and ``ldg`` rows run the branch networks' stacked forward on a
+block of one subgraph, the way a single-sample request is scored.
 Forward outputs are asserted to agree to 1e-9 before timings are recorded.
 Results, including speedups, are written to ``BENCH_gnn.json``.
 
@@ -126,8 +128,9 @@ def bench_scale(num_nodes: int, reps: int = 3, seed: int = 7) -> dict:
 
     # --- GSG encode ------------------------------------------------------------
     gsg = _GSGNetwork(15, 2, GSGConfig(), np.random.default_rng(1))
+    block = SparseAdjacency.block_diagonal([sparse_adj])
     t_sparse, emb_sparse = _timed(
-        lambda: gsg.embed(features, edge_features, sparse_adj), reps)
+        lambda: gsg.embed(features, edge_features, block), reps)
     t_dense, emb_dense = _timed(
         lambda: dense_ref.gsg_embed(gsg, features, edge_features, dense_adj), reps)
     assert np.abs(emb_sparse.data - emb_dense.data).max() < PARITY_ATOL, \
@@ -147,8 +150,9 @@ def bench_scale(num_nodes: int, reps: int = 3, seed: int = 7) -> dict:
     # --- time-sliced LDG step --------------------------------------------------
     ldg = _LDGNetwork(15, LDGConfig(num_slices=NUM_SLICES),
                       np.random.default_rng(2))
+    slice_blocks = [SparseAdjacency.block_diagonal([s]) for s in sparse_slices]
     t_sparse, pooled_sparse = _timed(
-        lambda: ldg.slice_representations(features, sparse_slices), reps)
+        lambda: ldg.slice_representations(features, slice_blocks), reps)
     t_dense, pooled_dense = _timed(
         lambda: dense_ref.ldg_slice_representations(ldg, features, dense_slices),
         reps)

@@ -4,9 +4,10 @@ Measures, on a synthetic ledger's ``exchange`` one-vs-rest task:
 
 * ``gsg_fit`` / ``ldg_fit`` — full-``fit`` training-step throughput
   (samples x epochs / second) with ``batch_size`` block-diagonal minibatches
-  versus two references: the **legacy per-sample loop** (``batch_size=1``,
-  one optimizer step per subgraph — the pre-batching training path and the
-  headline baseline) and the **same-schedule looped kernel**
+  versus two references: the **legacy per-sample loop** (the looped
+  reference at ``batch_size=1``: one optimizer step per subgraph, each
+  forwarded on its own — the pre-batching training path, bit for bit, and
+  the headline baseline) and the **same-schedule looped kernel**
   (``tests/reference/looped_branches.py``: identical RNG draws, identical
   optimizer steps, forwards run one sample at a time — the ≤1e-9 parity
   reference);
@@ -91,9 +92,10 @@ def bench_branch(name: str, branch_cls, looped_cls, config_factory, samples,
     """Parity-check then time one branch's batched vs reference training.
 
     The headline ``fit.speedup`` compares against the legacy per-sample loop
-    (``batch_size=1`` — one optimizer step per subgraph, the pre-batching
-    path); ``fit.speedup_vs_looped`` compares against the same-minibatch-
-    schedule looped kernel that the ≤1e-9 parity assertion runs against.
+    (the looped reference at ``batch_size=1`` — one optimizer step per
+    subgraph, the pre-batching path); ``fit.speedup_vs_looped`` compares
+    against the same-minibatch-schedule looped kernel that the ≤1e-9 parity
+    assertion runs against.
     """
     epochs = config_factory().epochs
 
@@ -125,7 +127,7 @@ def bench_branch(name: str, branch_cls, looped_cls, config_factory, samples,
     steps = len(samples) * epochs
     t_batched, _ = _timed(lambda: fit(branch_cls), reps)
     t_looped, _ = _timed(lambda: fit(looped_cls), reps)
-    t_legacy, _ = _timed(lambda: fit(branch_cls, batch_size=1), reps)
+    t_legacy, _ = _timed(lambda: fit(looped_cls, batch_size=1), reps)
     tp_batched, _ = _timed(lambda: batched.predict_scores(samples), reps)
     tp_looped, _ = _timed(predict_looped, reps)
     return {

@@ -108,9 +108,10 @@ if __name__ == "__main__":
     parser.add_argument("--category", default="exchange",
                         help="which one-vs-rest head to train (default: exchange)")
     parser.add_argument("--batch-size", type=int, default=1,
-                        help="training minibatch size for both branches; >1 "
-                             "forwards each minibatch as one block-diagonal "
-                             "sparse pass (default: 1, the per-sample loop)")
+                        help="training minibatch size for both branches; "
+                             "each minibatch is forwarded as one "
+                             "block-diagonal sparse pass (default: 1, one "
+                             "optimizer step per subgraph)")
     parser.add_argument("--build-workers", type=int, default=1,
                         help="thread workers for the dataset build; the "
                              "parallel build is bit-identical to the "

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation
+from repro.core.branch import _StackedBranch
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.hierarchical import HierarchicalAttentionEncoder
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Tensor, concat, nt_xent_loss
-from repro.nn.losses import binary_cross_entropy_with_logits
+from repro.nn import Adam, Linear, Module, Tensor, nt_xent_loss
 from repro.nn.functional import leaky_relu
 
 __all__ = ["GSGConfig", "GSGBranch"]
@@ -25,10 +25,9 @@ class GSGConfig:
     pooling read-out, and the two augmented views with
     ``(P_e, P_f) = (0.3, 0.1)`` and ``(0.4, 0.0)``.
 
-    ``batch_size`` selects the training granularity: 1 (the default) keeps the
-    legacy one-subgraph-per-optimizer-step loop bit-for-bit; larger values
-    train on minibatches forwarded as a single block-diagonal sparse pass
-    (one optimizer step per minibatch, loss averaged over its samples).
+    ``batch_size`` is the number of subgraphs per optimizer step and per
+    scoring pass; each chunk is forwarded as one block-diagonal sparse pass
+    (loss averaged over its samples).  1, the default, is per-sample SGD.
     """
 
     hidden_dim: int = 32
@@ -44,6 +43,10 @@ class GSGConfig:
     view2: AugmentationConfig = field(default_factory=lambda: AugmentationConfig(0.4, 0.0))
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 class _GSGNetwork(Module):
     """Feature alignment (Eq. 6) + hierarchical attention encoder + prediction head."""
@@ -51,6 +54,7 @@ class _GSGNetwork(Module):
     def __init__(self, in_dim: int, edge_dim: int, config: GSGConfig,
                  rng: np.random.Generator):
         super().__init__()
+        self.in_dim = in_dim
         self.align = Linear(in_dim + edge_dim, config.hidden_dim, rng=rng)
         self.encoder = HierarchicalAttentionEncoder(
             config.hidden_dim, config.hidden_dim, num_layers=config.num_layers,
@@ -58,17 +62,7 @@ class _GSGNetwork(Module):
         self.head = Linear(config.hidden_dim, 1, rng=rng)
 
     def embed(self, features: np.ndarray, edge_features: np.ndarray,
-              adjacency) -> Tensor:
-        """``adjacency`` is a :class:`SparseAdjacency` (dense arrays also work)."""
-        aligned = leaky_relu(self.align(Tensor(np.hstack([features, edge_features]))))
-        return self.encoder(aligned, adjacency)
-
-    def forward(self, features: np.ndarray, edge_features: np.ndarray,
-                adjacency) -> Tensor:
-        return self.head(self.embed(features, edge_features, adjacency))
-
-    def embed_batched(self, features: np.ndarray, edge_features: np.ndarray,
-                      adjacency: BatchedAdjacency) -> Tensor:
+              adjacency: BatchedAdjacency) -> Tensor:
         """``(B, hidden)`` embeddings of a block-diagonal minibatch.
 
         ``features`` / ``edge_features`` are the per-sample matrices stacked
@@ -78,12 +72,20 @@ class _GSGNetwork(Module):
         aligned = leaky_relu(self.align(Tensor(np.hstack([features, edge_features]))))
         return self.encoder.forward_batched(aligned, adjacency)
 
-    def forward_batched(self, features: np.ndarray, edge_features: np.ndarray,
-                        adjacency: BatchedAdjacency) -> Tensor:
-        return self.head(self.embed_batched(features, edge_features, adjacency))
+    def forward(self, features: np.ndarray, edge_features: np.ndarray,
+                adjacency: BatchedAdjacency) -> Tensor:
+        """``(B, 1)`` logits of a block-diagonal minibatch."""
+        return self.head(self.embed(features, edge_features, adjacency))
 
 
-class GSGBranch:
+def _stack(inputs: list[tuple], **block_options) -> tuple:
+    """Stack ``(features, edge_features, adjacency)`` triples block-diagonally."""
+    features, edge_features, adjacencies = zip(*inputs)
+    return (np.vstack(features), np.vstack(edge_features),
+            SparseAdjacency.block_diagonal(adjacencies, **block_options))
+
+
+class GSGBranch(_StackedBranch):
     """Train/evaluate the global static graph encoder on subgraph samples.
 
     The branch is a binary scorer: :meth:`fit` trains on one-vs-rest labels and
@@ -91,15 +93,14 @@ class GSGBranch:
     predicted value" fed to the joint calibration module.
     """
 
-    def __init__(self, config: GSGConfig | None = None):
-        self.config = config or GSGConfig()
-        self._network: _GSGNetwork | None = None
-        self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
+    _config_cls = GSGConfig
 
     # ------------------------------------------------------------------ helpers
+    def _build_network(self, in_dim: int, rng: np.random.Generator) -> _GSGNetwork:
+        return _GSGNetwork(in_dim, 2, self.config, rng)
+
     def _prepare(self, sample: AccountSubgraph):
-        mean, std = self._feature_stats
-        features = (sample.node_features - mean) / std
+        features = self._standardize(sample)
         edge_features = np.log1p(np.abs(sample.node_edge_features()))
         # The sample's cached CSR adjacency: its memoized attention structure
         # and normalisations are shared across every epoch and both
@@ -114,79 +115,19 @@ class GSGBranch:
         per-sample memoized structures (block-local derived forms compose),
         so repeated epochs over the same samples never re-derive it.
         """
-        prepared = [self._prepare(s) for s in samples]
-        features = np.vstack([p[0] for p in prepared])
-        edge_features = np.vstack([p[1] for p in prepared])
-        adjacency = SparseAdjacency.block_diagonal(
-            [p[2] for p in prepared], derived=("attention_structure",),
-            compose_plans=True)
-        return features, edge_features, adjacency
-
-    def _batch_logits(self, stack) -> Tensor:
-        """``(B,)`` logits of one :meth:`_prepare_batch` stack."""
-        return self._network.forward_batched(*stack).reshape(-1)
-
-    def _fit_feature_stats(self, samples: list[AccountSubgraph]) -> None:
-        stacked = np.vstack([s.node_features for s in samples])
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
-        std[std < 1e-12] = 1.0
-        self._feature_stats = (mean, std)
+        return _stack([self._prepare(s) for s in samples],
+                      derived=("attention_structure",), compose_plans=True)
 
     # ----------------------------------------------------------------- training
     def fit(self, samples: list[AccountSubgraph], labels: np.ndarray) -> "GSGBranch":
-        if len(samples) != len(labels):
-            raise ValueError("samples and labels must have the same length")
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        self._fit_feature_stats(samples)
-        in_dim = samples[0].node_features.shape[1]
-        self._network = _GSGNetwork(in_dim, 2, cfg, rng)
-        optimizer = Adam(self._network.parameters(), lr=cfg.learning_rate)
-        labels = np.asarray(labels, dtype=float)
-        indices = np.arange(len(samples))
-        batch_size = max(1, cfg.batch_size)
-        if batch_size > 1:
-            # Minibatch compositions are fixed by one seeded shuffle; epochs
-            # re-shuffle only the visit order.  Each minibatch's block-diagonal
-            # stack — with its composed attention structure and transpose
-            # plans — is therefore built once per fit and reused every epoch.
-            rng.shuffle(indices)
-            chunks = [indices[start:start + batch_size]
-                      for start in range(0, len(indices), batch_size)]
-            stacks = [self._prepare_batch([samples[i] for i in chunk])
-                      for chunk in chunks]
-            order = np.arange(len(chunks))
-        for _epoch in range(cfg.epochs):
-            if batch_size == 1:
-                # Legacy per-sample-step loop, bit-for-bit.
-                rng.shuffle(indices)
-                for idx in indices:
-                    sample = samples[idx]
-                    features, edge_features, adjacency = self._prepare(sample)
-                    optimizer.zero_grad()
-                    logit = self._network(features, edge_features, adjacency)
-                    loss = binary_cross_entropy_with_logits(logit.reshape(1), [labels[idx]])
-                    loss.backward()
-                    optimizer.step()
-            else:
-                rng.shuffle(order)
-                for j in order:
-                    optimizer.zero_grad()
-                    logits = self._batch_logits(stacks[j])
-                    loss = binary_cross_entropy_with_logits(logits, labels[chunks[j]])
-                    loss.backward()
-                    optimizer.step()
-            if cfg.use_contrastive and cfg.contrastive_weight > 0.0:
-                self._contrastive_step(samples, rng, optimizer)
-        return self
+        return self._fit(samples, labels)
 
-    def _contrastive_step(self, samples: list[AccountSubgraph], rng: np.random.Generator,
-                          optimizer: Adam) -> None:
+    def _end_epoch(self, samples: list[AccountSubgraph], rng: np.random.Generator,
+                   optimizer: Adam) -> None:
         """One contrastive-regularisation step on a random minibatch of subgraphs."""
         cfg = self.config
         batch_size = min(cfg.contrastive_batch, len(samples))
-        if batch_size < 2:
+        if not (cfg.use_contrastive and cfg.contrastive_weight > 0.0) or batch_size < 2:
             return
         batch_idx = rng.choice(len(samples), size=batch_size, replace=False)
         view1, view2 = [], []
@@ -207,72 +148,19 @@ class GSGBranch:
         optimizer.step()
 
     def _embed_views(self, views: list[tuple]) -> Tensor:
-        """Embed a list of ``(features, edge_features, adjacency)`` views.
+        """Embed ``(features, edge_features, adjacency)`` views in one stacked pass.
 
-        With batching enabled the augmented subgraphs are stacked into one
-        block-diagonal pass (their adjacencies are freshly augmented, so there
-        are no per-sample memos to seed); with ``batch_size == 1`` each view is
-        embedded separately and the results concatenated — identical float ops
-        to the pre-batching implementation.
+        The augmented adjacencies are fresh, so there are no per-sample memos
+        to seed the stack with.
         """
-        if self.config.batch_size > 1:
-            features = np.vstack([v[0] for v in views])
-            edge_features = np.vstack([v[1] for v in views])
-            adjacency = SparseAdjacency.block_diagonal([v[2] for v in views])
-            return self._network.embed_batched(features, edge_features, adjacency)
-        return concat([self._network.embed(*view) for view in views], axis=0)
+        return self._network.embed(*_stack(views))
 
     # ---------------------------------------------------------------- inference
     def predict_scores(self, samples: list[AccountSubgraph]) -> np.ndarray:
         """Raw (uncalibrated) predicted values, one per sample."""
-        if self._network is None:
-            raise RuntimeError("GSGBranch has not been fitted")
-        batch_size = max(1, self.config.batch_size)
-        if batch_size > 1 and len(samples) > 1:
-            chunks = [samples[start:start + batch_size]
-                      for start in range(0, len(samples), batch_size)]
-            return np.concatenate([self._batch_logits(self._prepare_batch(chunk)).data
-                                   for chunk in chunks])
-        scores = []
-        for sample in samples:
-            features, edge_features, adjacency = self._prepare(sample)
-            scores.append(float(self._network(features, edge_features, adjacency).data.item()))
-        return np.array(scores)
-
-    def predict_proba(self, samples: list[AccountSubgraph]) -> np.ndarray:
-        """Sigmoid of the raw scores (used when the branch runs standalone)."""
-        scores = self.predict_scores(samples)
-        return 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
+        return self._predict_scores(samples)
 
     def embed(self, sample: AccountSubgraph) -> np.ndarray:
         """The subgraph embedding (useful for inspection and tests)."""
-        if self._network is None:
-            raise RuntimeError("GSGBranch has not been fitted")
-        features, edge_features, adjacency = self._prepare(sample)
-        return self._network.embed(features, edge_features, adjacency).data.ravel()
-
-    # ------------------------------------------------------------- persistence
-    def get_state(self) -> dict:
-        """Serializable fitted state: feature scaler stats + network weights.
-
-        The branch hyperparameters are *not* part of the state — restore into a
-        branch constructed with the same :class:`GSGConfig`.
-        """
-        if self._network is None:
-            raise RuntimeError("GSGBranch has not been fitted")
-        mean, std = self._feature_stats
-        return {
-            "in_dim": int(self._network.align.in_features - 2),
-            "feature_mean": np.asarray(mean),
-            "feature_std": np.asarray(std),
-            "params": self._network.state_dict(),
-        }
-
-    def set_state(self, state: dict) -> "GSGBranch":
-        """Restore a fitted branch from :meth:`get_state` output."""
-        self._feature_stats = (np.asarray(state["feature_mean"], dtype=float),
-                               np.asarray(state["feature_std"], dtype=float))
-        self._network = _GSGNetwork(int(state["in_dim"]), 2, self.config,
-                                    np.random.default_rng(self.config.seed))
-        self._network.load_state_dict([np.asarray(p, dtype=float) for p in state["params"]])
-        return self
+        self._require_fitted()
+        return self._network.embed(*self._prepare_batch([sample])).data.ravel()

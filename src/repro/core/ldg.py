@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.branch import _StackedBranch
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.layers import GCNLayer
 from repro.gnn.pooling import DiffPool
 from repro.gnn.recurrent import GRUCell
 from repro.gnn.sparse_ops import segment_mean_batch
-from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Parameter, Tensor
-from repro.nn.losses import binary_cross_entropy_with_logits
+from repro.graph.sparse import SparseAdjacency
+from repro.nn import Linear, Module, Parameter, Tensor
 from repro.nn.functional import relu, softmax
 
 __all__ = ["LDGConfig", "LDGBranch"]
@@ -27,10 +27,10 @@ class LDGConfig:
     the DiffPool depth studied in Figure 9(b) (2 by default, with pooling rates
     0.1 then collapse-to-one).
 
-    ``batch_size`` selects the training granularity: 1 (the default) keeps the
-    legacy one-subgraph-per-optimizer-step loop bit-for-bit; larger values
-    train on minibatches whose time slices are stacked block-diagonally per
-    slice index and forwarded as ``num_slices`` batched sparse passes.
+    ``batch_size`` is the number of subgraphs per optimizer step and per
+    scoring pass; each chunk's time slices are stacked block-diagonally per
+    slice index and forwarded as ``num_slices`` batched sparse passes.  1, the
+    default, is per-sample SGD.
     """
 
     hidden_dim: int = 32
@@ -42,13 +42,17 @@ class LDGConfig:
     learning_rate: float = 0.01
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 class _LDGNetwork(Module):
     """GCN per slice + GRU over slices + DiffPool + attention read-out (Eq. 14-23)."""
 
     def __init__(self, in_dim: int, config: LDGConfig, rng: np.random.Generator):
         super().__init__()
-        self.config = config
+        self.in_dim = in_dim
         self.input_proj = Linear(in_dim, config.hidden_dim, rng=rng)
         self.gcn = GCNLayer(config.hidden_dim, config.hidden_dim, rng=rng)
         self.gru = GRUCell(config.hidden_dim, config.hidden_dim, rng=rng)
@@ -74,35 +78,6 @@ class _LDGNetwork(Module):
         return pools
 
     def slice_representations(self, features: np.ndarray, slices) -> list[Tensor]:
-        """Per-slice pooled evolutionary features ``h^pool_t`` (Eq. 20/22 inputs).
-
-        ``slices`` is a sequence of per-slice adjacencies — sparse
-        :class:`~repro.graph.sparse.SparseAdjacency` instances in the training
-        path, dense matrices for backward compatibility.
-        """
-        projected = relu(self.input_proj(Tensor(features)))
-        hidden = projected
-        pooled_per_slice: list[Tensor] = []
-        for adjacency in slices:
-            topo = self.gcn(hidden, adjacency)            # Eq. 14
-            hidden = self.gru(topo, hidden)               # Eq. 15-18
-            pooled, pooled_adj = hidden, adjacency
-            for pool in self.pools:
-                pooled, pooled_adj, _assign = pool(pooled, pooled_adj)   # Eq. 19-21
-            pooled_per_slice.append(pooled.mean(axis=0, keepdims=True))
-        return pooled_per_slice
-
-    def forward(self, features: np.ndarray, slices) -> Tensor:
-        pooled_per_slice = self.slice_representations(features, slices)
-        weights = softmax(self.slice_logits.reshape(1, -1), axis=1)
-        representation = None
-        for t, pooled in enumerate(pooled_per_slice):
-            weighted = pooled * weights[0, t].reshape(1, 1)
-            representation = weighted if representation is None else representation + weighted
-        return self.head(relu(representation))            # Eq. 23
-
-    def slice_representations_batched(self, features: np.ndarray,
-                                      slices) -> list[Tensor]:
         """Batched ``h^pool_t``: one ``(B, hidden)`` tensor per time slice.
 
         ``features`` is the per-sample node-feature matrices stacked
@@ -126,9 +101,9 @@ class _LDGNetwork(Module):
                 segment_mean_batch(pooled, pooled_adj.node_offsets))
         return pooled_per_slice
 
-    def forward_batched(self, features: np.ndarray, slices) -> Tensor:
+    def forward(self, features: np.ndarray, slices) -> Tensor:
         """``(B, 1)`` logits for a block-diagonal minibatch."""
-        pooled_per_slice = self.slice_representations_batched(features, slices)
+        pooled_per_slice = self.slice_representations(features, slices)
         weights = softmax(self.slice_logits.reshape(1, -1), axis=1)
         representation = None
         for t, pooled in enumerate(pooled_per_slice):
@@ -137,17 +112,16 @@ class _LDGNetwork(Module):
         return self.head(relu(representation))            # Eq. 23
 
 
-class LDGBranch:
+class LDGBranch(_StackedBranch):
     """Train/evaluate the local dynamic graph encoder on subgraph samples."""
 
-    def __init__(self, config: LDGConfig | None = None):
-        self.config = config or LDGConfig()
-        self._network: _LDGNetwork | None = None
-        self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
+    _config_cls = LDGConfig
+
+    def _build_network(self, in_dim: int, rng: np.random.Generator) -> _LDGNetwork:
+        return _LDGNetwork(in_dim, self.config, rng)
 
     def _prepare(self, sample: AccountSubgraph):
-        mean, std = self._feature_stats
-        features = (sample.node_features - mean) / std
+        features = self._standardize(sample)
         # Cached CSR slices: built once per sample, no dense per-slice matrices.
         slices = sample.time_slices(self.config.num_slices, weighted=False,
                                     sparse=True)
@@ -167,111 +141,16 @@ class LDGBranch:
             for t in range(self.config.num_slices)]
         return features, slices
 
-    def _batch_logits(self, stack) -> Tensor:
-        """``(B,)`` logits of one :meth:`_prepare_batch` stack."""
-        return self._network.forward_batched(*stack).reshape(-1)
-
-    def _fit_feature_stats(self, samples: list[AccountSubgraph]) -> None:
-        stacked = np.vstack([s.node_features for s in samples])
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
-        std[std < 1e-12] = 1.0
-        self._feature_stats = (mean, std)
-
     def fit(self, samples: list[AccountSubgraph], labels: np.ndarray) -> "LDGBranch":
-        if len(samples) != len(labels):
-            raise ValueError("samples and labels must have the same length")
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        self._fit_feature_stats(samples)
-        in_dim = samples[0].node_features.shape[1]
-        self._network = _LDGNetwork(in_dim, cfg, rng)
-        optimizer = Adam(self._network.parameters(), lr=cfg.learning_rate)
-        labels = np.asarray(labels, dtype=float)
-        indices = np.arange(len(samples))
-        batch_size = max(1, cfg.batch_size)
-        if batch_size > 1:
-            # Minibatch compositions are fixed by one seeded shuffle; epochs
-            # re-shuffle only the visit order, so each minibatch's per-slice
-            # stacks (and their composed GCN normalisations / transpose plans)
-            # are built once per fit and reused every epoch.
-            rng.shuffle(indices)
-            chunks = [indices[start:start + batch_size]
-                      for start in range(0, len(indices), batch_size)]
-            stacks = [self._prepare_batch([samples[i] for i in chunk])
-                      for chunk in chunks]
-            order = np.arange(len(chunks))
-        for _epoch in range(cfg.epochs):
-            if batch_size == 1:
-                # Legacy per-sample-step loop, bit-for-bit.
-                rng.shuffle(indices)
-                for idx in indices:
-                    features, slices = self._prepare(samples[idx])
-                    optimizer.zero_grad()
-                    logit = self._network(features, slices)
-                    loss = binary_cross_entropy_with_logits(logit.reshape(1), [labels[idx]])
-                    loss.backward()
-                    optimizer.step()
-            else:
-                rng.shuffle(order)
-                for j in order:
-                    optimizer.zero_grad()
-                    logits = self._batch_logits(stacks[j])
-                    loss = binary_cross_entropy_with_logits(logits, labels[chunks[j]])
-                    loss.backward()
-                    optimizer.step()
-        return self
+        return self._fit(samples, labels)
 
     def predict_scores(self, samples: list[AccountSubgraph]) -> np.ndarray:
         """Raw (uncalibrated) predicted values — the "local predicted value"."""
-        if self._network is None:
-            raise RuntimeError("LDGBranch has not been fitted")
-        batch_size = max(1, self.config.batch_size)
-        if batch_size > 1 and len(samples) > 1:
-            chunks = [samples[start:start + batch_size]
-                      for start in range(0, len(samples), batch_size)]
-            return np.concatenate([self._batch_logits(self._prepare_batch(chunk)).data
-                                   for chunk in chunks])
-        scores = []
-        for sample in samples:
-            features, slices = self._prepare(sample)
-            scores.append(float(self._network(features, slices).data.item()))
-        return np.array(scores)
-
-    def predict_proba(self, samples: list[AccountSubgraph]) -> np.ndarray:
-        scores = self.predict_scores(samples)
-        return 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
+        return self._predict_scores(samples)
 
     def slice_weights(self) -> np.ndarray:
         """The learned adaptive time-slice weights ``alpha_t`` (Eq. 22)."""
-        if self._network is None:
-            raise RuntimeError("LDGBranch has not been fitted")
+        self._require_fitted()
         logits = self._network.slice_logits.data
         exp = np.exp(logits - logits.max())
         return exp / exp.sum()
-
-    # ------------------------------------------------------------- persistence
-    def get_state(self) -> dict:
-        """Serializable fitted state: feature scaler stats + network weights.
-
-        The branch hyperparameters are *not* part of the state — restore into a
-        branch constructed with the same :class:`LDGConfig`.
-        """
-        if self._network is None:
-            raise RuntimeError("LDGBranch has not been fitted")
-        mean, std = self._feature_stats
-        return {
-            "in_dim": int(self._network.input_proj.in_features),
-            "feature_mean": np.asarray(mean),
-            "feature_std": np.asarray(std),
-            "params": self._network.state_dict(),
-        }
-
-    def set_state(self, state: dict) -> "LDGBranch":
-        """Restore a fitted branch from :meth:`get_state` output."""
-        self._feature_stats = (np.asarray(state["feature_mean"], dtype=float),
-                               np.asarray(state["feature_std"], dtype=float))
-        self._network = _LDGNetwork(int(state["in_dim"]), self.config,
-                                    np.random.default_rng(self.config.seed))
-        self._network.load_state_dict([np.asarray(p, dtype=float) for p in state["params"]])
-        return self

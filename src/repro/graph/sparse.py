@@ -188,10 +188,20 @@ class SparseAdjacency:
         stacked column sort is exactly the per-block sorts laid side by side;
         each per-sample ``lexsort`` then runs once ever instead of once per
         minibatch per epoch.
+
+        A stack of one block is that block: it shares the block's arrays, memo
+        and lock, so forms derived on it (and on the next stack of the same
+        block) are built once and kept.  ``derived`` and ``compose_plans``
+        then have nothing to compose.
         """
         samples = list(samples)
         if not samples:
             raise ValueError("block_diagonal requires at least one sample")
+        if len(samples) == 1:
+            (block,) = samples
+            stacked = BatchedAdjacency(block.indptr, block.indices, block.data)
+            stacked._memo, stacked._lock = block._memo, block._lock
+            return stacked
         node_offsets = np.zeros(len(samples) + 1, dtype=np.int64)
         edge_offsets = np.zeros(len(samples) + 1, dtype=np.int64)
         np.cumsum([s.num_nodes for s in samples], out=node_offsets[1:])
@@ -544,11 +554,6 @@ class BatchedAdjacency(SparseAdjacency):
     def node_counts(self) -> np.ndarray:
         """Nodes per block, ``(num_graphs,)``."""
         return np.diff(self.node_offsets)
-
-    def batch_vector(self) -> np.ndarray:
-        """Block index per row (cached expansion of ``node_offsets``)."""
-        return self._memoized("batch_vector", lambda: np.repeat(
-            np.arange(self.num_graphs, dtype=np.int64), self.node_counts()))
 
     def blocks(self) -> list[SparseAdjacency]:
         """Split back into per-sample adjacencies (zero-copy data slices)."""

@@ -133,7 +133,7 @@ def hierarchical_encode(encoder, x: Tensor, adjacency: np.ndarray) -> Tensor:
 
 def gsg_embed(network, features: np.ndarray, edge_features: np.ndarray,
               adjacency: np.ndarray) -> Tensor:
-    """Seed ``_GSGNetwork.embed`` with the dense encoder path."""
+    """Seed per-sample GSG embedding with the dense encoder path."""
     aligned = leaky_relu(network.align(Tensor(np.hstack([features, edge_features]))))
     return hierarchical_encode(network.encoder, aligned, adjacency)
 
@@ -145,7 +145,7 @@ def gsg_forward(network, features: np.ndarray, edge_features: np.ndarray,
 
 def ldg_slice_representations(network, features: np.ndarray,
                               slices: list[np.ndarray]) -> list[Tensor]:
-    """Seed ``_LDGNetwork.slice_representations`` on dense time slices."""
+    """Seed per-sample LDG slice representations on dense time slices."""
     projected = relu(network.input_proj(Tensor(features)))
     hidden = projected
     pooled_per_slice: list[Tensor] = []
@@ -160,7 +160,7 @@ def ldg_slice_representations(network, features: np.ndarray,
 
 
 def ldg_forward(network, features: np.ndarray, slices: list[np.ndarray]) -> Tensor:
-    """Seed ``_LDGNetwork.forward`` on dense time slices."""
+    """Seed per-sample LDG forward on dense time slices."""
     pooled_per_slice = ldg_slice_representations(network, features, slices)
     weights = softmax(network.slice_logits.reshape(1, -1), axis=1)
     representation = None

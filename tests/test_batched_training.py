@@ -11,7 +11,8 @@ Three layers of pinning for the batched training path:
 * end-to-end tests train GSG/LDG with the stacked kernel and with the looped
   reference of ``tests/reference/looped_branches.py`` (same minibatch
   schedule, per-sample forwards) and require final weights and scores to
-  agree to ``<= 1e-9``.
+  agree to ``<= 1e-9``; at ``batch_size=1`` the looped reference must also
+  reproduce the released per-sample training loop bit for bit.
 """
 
 import numpy as np
@@ -26,7 +27,8 @@ from repro.gnn.sparse_ops import (segment_matmul, segment_max_batch,
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.nn import Tensor, concat
 
-from tests.reference.looped_branches import LoopedGSGBranch, LoopedLDGBranch
+from tests.reference.looped_branches import (LoopedGSGBranch, LoopedLDGBranch,
+                                             legacy_per_sample_fit)
 
 PARITY_ATOL = 1e-9
 
@@ -106,6 +108,17 @@ class TestBlockDiagonal:
         assert_same_matrix(seeded.gcn_normalized(), direct.gcn_normalized())
         assert_same_matrix(seeded.attention_structure(),
                            direct.attention_structure())
+
+    def test_single_block_stack_shares_the_block_memo(self):
+        block = SparseAdjacency.from_dense(np.eye(3) + np.eye(3, k=1))
+        stacked = SparseAdjacency.block_diagonal(
+            [block], derived=("gcn_normalized",), compose_plans=True)
+        assert isinstance(stacked, BatchedAdjacency)
+        assert stacked.num_graphs == 1
+        assert_same_matrix(stacked, block)
+        assert stacked.gcn_normalized() is block.gcn_normalized()
+        again = SparseAdjacency.block_diagonal([block])
+        assert again.attention_structure() is stacked.attention_structure()
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError):
@@ -279,7 +292,7 @@ class TestEndToEndParity:
         assert GSGConfig().batch_size == 1
         assert LDGConfig().batch_size == 1
 
-    @pytest.mark.parametrize("batch_size", [5, 32])
+    @pytest.mark.parametrize("batch_size", [1, 5, 32])
     def test_gsg_batched_matches_looped_reference(self, tiny_task, batch_size):
         samples, labels = tiny_task
         (scores_b, weights_b), (scores_r, weights_r) = fit_twice(
@@ -289,7 +302,7 @@ class TestEndToEndParity:
             np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
         np.testing.assert_allclose(scores_b, scores_r, atol=PARITY_ATOL, rtol=0)
 
-    @pytest.mark.parametrize("batch_size", [5, 32])
+    @pytest.mark.parametrize("batch_size", [1, 5, 32])
     def test_ldg_batched_matches_looped_reference(self, tiny_task, batch_size):
         samples, labels = tiny_task
         (scores_b, weights_b), (scores_r, weights_r) = fit_twice(
@@ -298,6 +311,20 @@ class TestEndToEndParity:
         for got, expected in zip(weights_b, weights_r):
             np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
         np.testing.assert_allclose(scores_b, scores_r, atol=PARITY_ATOL, rtol=0)
+
+    @pytest.mark.parametrize("looped_cls, config_factory", [
+        (LoopedGSGBranch, tiny_gsg_config), (LoopedLDGBranch, tiny_ldg_config)])
+    def test_batch_one_schedule_is_legacy_per_sample_loop(self, tiny_task, looped_cls,
+                                                          config_factory):
+        samples, labels = tiny_task
+        looped = looped_cls(config_factory(batch_size=1)).fit(samples, labels)
+        legacy = legacy_per_sample_fit(looped_cls(config_factory(batch_size=1)),
+                                       samples, labels)
+        for got, expected in zip(looped._network.parameters(),
+                                 legacy._network.parameters()):
+            np.testing.assert_array_equal(got.data, expected.data)
+        np.testing.assert_array_equal(looped.predict_scores(samples),
+                                      legacy.predict_scores(samples))
 
     def test_gsg_batched_predict_matches_sequential_predict(self, tiny_task):
         samples, labels = tiny_task
@@ -312,6 +339,18 @@ class TestEndToEndParity:
         batched = branch.predict_scores(samples)
         sequential = np.concatenate([branch.predict_scores([s]) for s in samples])
         np.testing.assert_allclose(batched, sequential, atol=PARITY_ATOL, rtol=0)
+
+
+@pytest.mark.parametrize("branch_cls, config_factory", [
+    (GSGBranch, tiny_gsg_config), (LDGBranch, tiny_ldg_config)])
+@pytest.mark.parametrize("batch_size", [1, 32])
+def test_predict_scores_of_no_samples_is_empty(tiny_task, branch_cls, config_factory,
+                                               batch_size):
+    samples, labels = tiny_task
+    branch = branch_cls(config_factory(batch_size=batch_size, epochs=1))
+    scores = branch.fit(samples, labels).predict_scores([])
+    assert scores.shape == (0,)
+    assert scores.dtype == np.float64
 
 
 @pytest.fixture(scope="module")

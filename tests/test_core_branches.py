@@ -119,3 +119,10 @@ class TestLDGBranch:
         samples, labels = tiny_task
         branch = LDGBranch(tiny_ldg_config(pooling_layers=3)).fit(samples, labels)
         assert np.all(np.isfinite(branch.predict_scores(samples)))
+
+
+@pytest.mark.parametrize("config_cls", [GSGConfig, LDGConfig])
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_batch_size_below_one_rejected(config_cls, batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        config_cls(batch_size=batch_size)

@@ -326,6 +326,11 @@ class TestAugmentationParity:
         np.testing.assert_array_equal(aug.to_dense(), adj)
 
 
+def block_of_one(adjacency: SparseAdjacency) -> SparseAdjacency:
+    """The branch networks forward block-diagonal stacks, even of one sample."""
+    return SparseAdjacency.block_diagonal([adjacency])
+
+
 def _train_one_step_gsg(samples, labels, prepare_dense: bool):
     """One seeded GSG epoch; dense path runs the preserved seed forward."""
     cfg = GSGConfig(epochs=1, use_contrastive=False, seed=0)
@@ -348,7 +353,7 @@ def _train_one_step_gsg(samples, labels, prepare_dense: bool):
             logit = dense_ref.gsg_forward(network, features, edge_features,
                                           sample.adjacency())
         else:
-            logit = network(features, edge_features, sample.adjacency_sparse())
+            logit = network(features, edge_features, block_of_one(sample.adjacency_sparse()))
         loss = binary_cross_entropy_with_logits(logit.reshape(1),
                                                 [float(labels[idx])])
         losses.append(loss.item())
@@ -362,7 +367,7 @@ def _train_one_step_gsg(samples, labels, prepare_dense: bool):
             out = dense_ref.gsg_forward(network, features, edge_features,
                                         sample.adjacency())
         else:
-            out = network(features, edge_features, sample.adjacency_sparse())
+            out = network(features, edge_features, block_of_one(sample.adjacency_sparse()))
         logits.append(out.data.item())
     return np.array(losses), np.array(logits)
 
@@ -386,7 +391,7 @@ def _train_one_step_ldg(samples, labels, prepare_dense: bool):
             slices = sample.time_slices(cfg.num_slices, weighted=False)
             return dense_ref.ldg_forward(network, features, slices)
         slices = sample.time_slices(cfg.num_slices, weighted=False, sparse=True)
-        return network(features, slices)
+        return network(features, [block_of_one(s) for s in slices])
 
     for idx in indices:
         optimizer.zero_grad()
