@@ -1,6 +1,6 @@
 """Gradient-aware sparse message-passing operators.
 
-These wrap the numpy CSR kernels of :class:`~repro.graph.sparse.SparseAdjacency`
+These wrap the scipy CSR kernels of :class:`~repro.graph.sparse.SparseAdjacency`
 in :class:`~repro.nn.Tensor` operations so the GNN layers can aggregate in
 O(E) while still training with the reverse-mode autograd engine:
 
@@ -48,28 +48,25 @@ def spmm_edge_weighted(structure: SparseAdjacency, edge_weights: Tensor,
     ``out[i] = Σ_{e: row(e)=i} w_e · x[col(e)]`` — the attention-weighted sum
     without ever materialising an ``(n, n)`` attention matrix.
     """
-    rows, cols = structure.rows, structure.indices
-    x_cols = x.data[cols]
-    contrib = edge_weights.data * x_cols
-    data = structure.reduce_rows(contrib)
+    weights = edge_weights.data.ravel()
+    data = structure.csr(weights) @ x.data
 
     def backward(grad: np.ndarray) -> None:
-        grad_rows = grad[rows]
         if edge_weights.requires_grad:
             edge_weights._accumulate(
-                (grad_rows * x_cols).sum(axis=1, keepdims=True), owned=True)
+                (grad[structure.rows] * x.data[structure.indices]).sum(
+                    axis=1, keepdims=True), owned=True)
         if x.requires_grad:
-            scatter = edge_weights.data * grad_rows
-            x._accumulate(structure.reduce_cols(scatter), owned=True)
+            x._accumulate(structure.csr_transposed(weights) @ grad, owned=True)
 
     return Tensor._make(data, (edge_weights, x), backward)
 
 
 def gather_rows(t: Tensor, structure: SparseAdjacency) -> Tensor:
-    """Per-edge gather ``t[rows]`` whose backward is the per-row ``reduceat``.
+    """Per-edge gather ``t[rows]`` whose backward is the per-row CSR fold.
 
-    Bit-identical to the generic fancy-index backward (``np.add.at`` visits
-    the edges of each row in the same ascending order the reduction sums them).
+    Bit-identical to the generic fancy-index backward: the row selector sums
+    each row's edges sequentially in ascending order, as ``np.add.at`` does.
     """
     def backward(grad: np.ndarray) -> None:
         t._accumulate(structure.reduce_rows(grad), owned=True)
@@ -78,9 +75,9 @@ def gather_rows(t: Tensor, structure: SparseAdjacency) -> Tensor:
 
 
 def gather_cols(t: Tensor, structure: SparseAdjacency) -> Tensor:
-    """Per-edge gather ``t[cols]`` whose backward reduces through the memoized
-    transpose plan (within a column, edges keep ascending row order — the same
-    accumulation order as the generic scatter-add)."""
+    """Per-edge gather ``t[cols]`` whose backward is the per-column CSR fold
+    of the memoized transpose plan (within a column, edges keep ascending row
+    order and are summed sequentially — as the generic scatter-add does)."""
     def backward(grad: np.ndarray) -> None:
         t._accumulate(structure.reduce_cols(grad), owned=True)
 
@@ -113,9 +110,9 @@ def segment_softmax(scores: Tensor, structure: SparseAdjacency) -> Tensor:
     denom = segment_sum(exp, structure)
 
     def expand(t: Tensor) -> Tensor:
-        # t[rows] with a reduceat backward: ``rows`` is sorted by CSR row, so
-        # the scatter-add of the generic fancy-index backward reduces to the
-        # same per-row sum (identical accumulation order, hence bit-identical).
+        # t[rows] with a row-selector backward: ``rows`` is sorted by CSR row,
+        # so the sequential CSR fold sums each row's edges in the order the
+        # generic fancy-index scatter-add does, hence bit-identically.
         def backward(grad: np.ndarray) -> None:
             t._accumulate(structure.reduce_rows(grad), owned=True)
 
@@ -155,9 +152,9 @@ def _segment_index(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def segment_expand_batch(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Broadcast per-segment rows to nodes: ``out[i] = x[batch(i)]``.
 
-    The gradient of the repeat is the per-segment sum, computed with the same
-    ``reduceat`` scan (and the same in-order accumulation, hence bit-identical
-    results) as the generic fancy-index scatter-add it replaces.
+    The gradient of the repeat is the per-segment sum, the sequential CSR fold
+    of :func:`segment_reduce` — the same in-order accumulation, hence
+    bit-identical results, as the generic fancy-index scatter-add it replaces.
     """
     _, batch = _segment_index(offsets)
     data = x.data[batch]

@@ -9,9 +9,14 @@ treated as **immutable** — every transformation (``with_self_loops``,
 expensive derived forms be memoized per instance and reused across training
 epochs.
 
-The module is intentionally numpy-only (no autograd imports) so that the
-``graph`` and ``data`` layers can depend on it; the gradient-aware operators
-live in :mod:`repro.gnn.sparse_ops`.
+The module depends only on numpy and ``scipy.sparse`` (no autograd imports)
+so that the ``graph`` and ``data`` layers can depend on it; the gradient-aware
+operators live in :mod:`repro.gnn.sparse_ops`.
+
+Every ``add`` reduction of message passing is scipy's CSR product
+(``csr_array @ dense``), which folds each row sequentially, ``((0 + t0) + t1)
++ ...``, in stored-entry order — the sum an ``np.add.at`` scatter computes, so
+the kernels are bit-identical to the fancy-index scatter-add they replace.
 """
 
 from __future__ import annotations
@@ -19,8 +24,15 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+from scipy.sparse import csr_array
 
 __all__ = ["SparseAdjacency", "BatchedAdjacency", "segment_reduce"]
+
+
+def _selector(indptr: np.ndarray, order: np.ndarray) -> csr_array:
+    """0/1 CSR matrix whose row ``i`` picks entries ``order[indptr[i]:indptr[i+1]]``."""
+    return csr_array((np.ones(len(order)), order, indptr),
+                     shape=(len(indptr) - 1, len(order)))
 
 
 def segment_reduce(contrib: np.ndarray, indptr: np.ndarray, ufunc=np.add) -> np.ndarray:
@@ -28,15 +40,14 @@ def segment_reduce(contrib: np.ndarray, indptr: np.ndarray, ufunc=np.add) -> np.
 
     ``contrib`` holds one entry per stored edge, ordered by CSR row (axis 0);
     ``indptr`` is the usual CSR row-pointer array.  Rows with no entries reduce
-    to 0.  Implemented with ``ufunc.reduceat`` over the non-empty rows only:
-    because empty rows contribute no boundaries, each non-empty row's segment
-    ends exactly at the next non-empty row's start.
+    to 0.  ``np.add`` multiplies by a 0/1 row selector, so each row is the
+    sequential CSR fold of its entries; ``np.maximum`` (order-free) runs
+    ``reduceat`` over the non-empty rows only — empty rows contribute no
+    boundaries, so each segment ends exactly at the next non-empty row's start.
     """
-    num_rows = len(indptr) - 1
-    out_shape = (num_rows,) + contrib.shape[1:]
-    out = np.zeros(out_shape, dtype=np.float64)
-    if contrib.shape[0] == 0:
-        return out
+    if ufunc is np.add:
+        return _selector(indptr, np.arange(indptr[-1])) @ contrib
+    out = np.zeros((len(indptr) - 1,) + contrib.shape[1:], dtype=np.float64)
     nonempty = indptr[1:] > indptr[:-1]
     if nonempty.any():
         out[nonempty] = ufunc.reduceat(contrib, indptr[:-1][nonempty], axis=0)
@@ -409,10 +420,10 @@ class SparseAdjacency:
     def _transpose_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """(permutation, indptr) that re-sorts stored entries by column.
 
-        ``contrib[perm]`` is column-sorted, so ``segment_reduce(contrib[perm],
-        t_indptr)`` scatters per-edge contributions into per-column outputs —
-        the kernel behind :meth:`rmatmul` and the backward pass of sparse
-        message passing.
+        ``contrib[perm]`` is column-sorted, so ``(perm, t_indptr)`` is the CSR
+        pattern of ``Aᵀ`` over entry ids — the scatter behind :meth:`rmatmul`,
+        :meth:`reduce_cols` and the backward pass of sparse message passing.
+        Within a column, entries keep ascending row order.
         """
         def build():
             perm = np.lexsort((self.rows, self.indices))
@@ -422,68 +433,51 @@ class SparseAdjacency:
             return perm, t_indptr
         return self._memoized("transpose_plan", build)
 
-    def _rows_nonempty(self) -> bool:
-        """True when every CSR row stores at least one entry (cached)."""
-        return self._memoized(
-            "rows_nonempty", lambda: bool((self.indptr[1:] > self.indptr[:-1]).all()))
+    def csr(self, values: np.ndarray | None = None) -> csr_array:
+        """``A`` as a scipy CSR matrix (memoized), or its pattern with ``values``
+        (one per stored entry, row order) in place of the stored data."""
+        base = self._memoized("csr", lambda: csr_array(
+            (self.data, self.indices, self.indptr), shape=self.shape))
+        if values is None:
+            return base
+        return csr_array((values, base.indices, base.indptr), shape=self.shape)
 
-    def _cols_nonempty(self) -> bool:
-        """True when every column stores at least one entry (cached)."""
-        def build():
-            _, t_indptr = self._transpose_plan()
-            return bool((t_indptr[1:] > t_indptr[:-1]).all())
-        return self._memoized("cols_nonempty", build)
+    def csr_transposed(self, values: np.ndarray | None = None) -> csr_array:
+        """``Aᵀ`` as a scipy CSR matrix built from the transpose plan (memoized),
+        or its pattern with row-ordered ``values`` in place of the stored data."""
+        perm, t_indptr = self._transpose_plan()
+        base = self._memoized("csr_transposed", lambda: csr_array(
+            (self.data[perm], self.rows[perm], t_indptr), shape=self.shape))
+        if values is None:
+            return base
+        return csr_array((values[perm], base.indices, base.indptr), shape=self.shape)
 
     def reduce_rows(self, contrib: np.ndarray, ufunc=np.add) -> np.ndarray:
         """Reduce row-ordered per-edge contributions into per-row outputs.
 
-        Same result as ``segment_reduce(contrib, self.indptr, ufunc)``; when
-        every row is non-empty (self-looped structures — the message-passing
-        hot path) the reduction runs straight off ``indptr`` with no zero
-        buffer or mask.
+        Same result as ``segment_reduce(contrib, self.indptr, ufunc)``, with
+        the ``np.add`` row selector memoized on the instance.
         """
-        if contrib.shape[0] and self._rows_nonempty():
-            return ufunc.reduceat(contrib, self.indptr[:-1], axis=0)
-        return segment_reduce(contrib, self.indptr, ufunc)
+        if ufunc is not np.add:
+            return segment_reduce(contrib, self.indptr, ufunc)
+        return self._memoized("row_selector", lambda: _selector(
+            self.indptr, np.arange(self.nnz))) @ contrib
 
-    def reduce_cols(self, contrib: np.ndarray, ufunc=np.add) -> np.ndarray:
-        """Reduce row-ordered per-edge contributions into per-column outputs,
-        re-sorting through the memoized transpose plan."""
-        perm, t_indptr = self._transpose_plan()
-        if contrib.shape[0] and self._cols_nonempty():
-            return ufunc.reduceat(contrib[perm], t_indptr[:-1], axis=0)
-        return segment_reduce(contrib[perm], t_indptr, ufunc)
-
-    def _rmatmul_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pre-permuted ``(rows[perm], data[perm], t_indptr)`` for ``A.T @ g``.
-
-        Gathering ``g`` by ``rows[perm]`` and scaling by ``data[perm]`` yields
-        entry-for-entry the column-sorted contributions that
-        ``(g[rows] * data)[perm]`` would — same scalar products, same
-        ``reduceat`` accumulation order — with one full-width pass instead of
-        a compute-then-permute pair.
-        """
+    def reduce_cols(self, contrib: np.ndarray) -> np.ndarray:
+        """Sum row-ordered per-edge contributions into per-column outputs
+        through the memoized column selector of the transpose plan."""
         def build():
             perm, t_indptr = self._transpose_plan()
-            return self.rows[perm], self.data[perm], t_indptr
-        return self._memoized("rmatmul_plan", build)
+            return _selector(t_indptr, perm)
+        return self._memoized("col_selector", build) @ contrib
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` for a dense vector or matrix ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        contrib = x[self.indices]          # fresh gather — in-place scale is safe
-        contrib *= self.data if x.ndim == 1 else self.data[:, None]
-        return self.reduce_rows(contrib)
+        return self.csr() @ np.asarray(x, dtype=np.float64)
 
     def rmatmul(self, g: np.ndarray) -> np.ndarray:
-        """``A.T @ g`` for a dense vector or matrix ``g`` (no transpose copy)."""
-        g = np.asarray(g, dtype=np.float64)
-        rows_perm, data_perm, t_indptr = self._rmatmul_plan()
-        contrib = g[rows_perm]             # fresh gather — in-place scale is safe
-        contrib *= data_perm if g.ndim == 1 else data_perm[:, None]
-        if contrib.shape[0] and self._cols_nonempty():
-            return np.add.reduceat(contrib, t_indptr[:-1], axis=0)
-        return segment_reduce(contrib, t_indptr, np.add)
+        """``A.T @ g`` for a dense vector or matrix ``g``."""
+        return self.csr_transposed() @ np.asarray(g, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"SparseAdjacency(n={self.num_nodes}, nnz={self.nnz})"
